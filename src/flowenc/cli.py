@@ -20,7 +20,7 @@ from . import data as dd
 from . import diffcore as dc
 from . import models as md
 from . import training as tr
-from .flow import AlphaSchedule, FlowConfig, SolverKind
+from .flow import AlphaSchedule, FlowConfig, FlowError, SolverKind
 
 
 @dataclass
@@ -168,6 +168,9 @@ def _optimizer(cfg: ExperimentConfig, params) -> tr.OptimizerState:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
+    if cfg.method == "gfe-nesterov" and cfg.adjoint == "full":
+        raise ValueError("--adjoint full is not implemented for gfe-nesterov; "
+                         "use --adjoint approx")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_config(out / "config.txt", cfg)
@@ -368,7 +371,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, dd.IdxFormatError) as exc:
+    except (ValueError, FileNotFoundError, dd.IdxFormatError, FlowError,
+            tr.TrainDivergedError, dc.NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,9 @@ second-order quantities the backward flow integration needs.
 Tapes are explicit and caller-owned: ops record onto the innermost active
 ``recording()`` context, and differentiating requires that context to still
 be open.  Each flow step or training sample opens its own short-lived tape,
-which bounds memory.
+which bounds memory.  A tape's nodes point at their tensors but no tensor
+points back at its node, so a closed tape is freed by reference counting
+alone.
 """
 
 from __future__ import annotations
@@ -36,20 +38,17 @@ class GradError(RuntimeError):
 class Tensor:
     """Immutable dense array of float64 values.
 
-    ``data`` is always C-contiguous float64.  ``grad`` is an optional
-    stash used by training code; the autodiff engine itself is functional
-    and returns gradients from :func:`grad` instead of writing them here.
+    ``data`` is always C-contiguous float64.  The autodiff engine is
+    functional: :func:`grad` returns gradients instead of storing them.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         _check_finite(arr, "tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Tensor | None = None
-        self.node: "Node | None" = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -63,9 +62,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single element, shape is {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -183,15 +179,11 @@ def _record(name: str, out_data: np.ndarray, parents: tuple[Tensor, ...],
     _check_finite(out_data, name)
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(out_data, dtype=np.float64)
-    out.grad = None
     tape = active_tape()
     track = tape is not None and any(p.requires_grad for p in parents)
     out.requires_grad = track
-    out.node = None
     if track:
-        node = Node(name, out, parents, vjp)
-        out.node = node
-        tape.ops.append(node)
+        tape.ops.append(Node(name, out, parents, vjp))
     return out
 
 

@@ -12,14 +12,21 @@ Three interchangeable integrators:
 Solvers are pure: given (sample, parameters, config) they always produce
 the same trajectory.  Every decoder evaluation is counted in
 ``FlowState.model_calls``.
+
+Every taped evaluation of an objective, here and in ``training``, goes
+through the tape-boundary helpers below (:func:`loss_value`,
+:func:`value_and_grad`, :func:`hvp_at`, :func:`mixed_vjp_at`).  They open
+the tape and turn diffcore's ``NonFiniteError`` into the caller's typed
+error.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -98,7 +105,8 @@ class FlowTrace:
 
     ``ts`` has one entry per grid point (n_steps + 1); ``dts`` and ``grads``
     have one entry per slice, with grads evaluated at the slice's left
-    endpoint.
+    endpoint.  ``solver`` is the integrator that produced it;
+    ``theta_version`` is the decoder's ``version`` the flow ran under.
     """
 
     ts: list[float] = field(default_factory=list)
@@ -106,7 +114,8 @@ class FlowTrace:
     dts: list[float] = field(default_factory=list)
     grads: list[np.ndarray] = field(default_factory=list)
     complete: bool = False
-    theta_version: tuple | None = None
+    solver: SolverKind | None = None
+    theta_version: int | None = None
 
     @property
     def n_slices(self) -> int:
@@ -132,28 +141,70 @@ def _alpha_fn(cfg: FlowConfig) -> Callable[[float], float]:
     return lambda t: 1.0
 
 
+# ---------------------------------------------------------------------------
+# Tape boundary: the only place objectives are taped and differentiated.
+# ``error`` maps diffcore's message to the caller's typed exception.
+# ---------------------------------------------------------------------------
+
+ErrorFactory = Callable[[str], Exception]
+
+
+@contextmanager
+def _nonfinite_as(error: ErrorFactory, taped: bool = True):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"), \
+                (dc.recording() if taped else nullcontext()):
+            yield
+    except dc.NonFiniteError as exc:
+        raise error(str(exc)) from None
+
+
+def loss_value(objective: Objective, x: np.ndarray,
+               error: ErrorFactory) -> float:
+    """objective(x) with x held constant; no tape is opened."""
+    with _nonfinite_as(error, taped=False):
+        return objective(dc.constant(x)).item()
+
+
+def value_and_grad(objective: Objective, x: np.ndarray,
+                   params: Sequence[Tensor], error: ErrorFactory,
+                   wrt_x: bool = True) -> tuple[float, list[np.ndarray]]:
+    """objective(x) and its gradients: w.r.t. x (first, unless ``wrt_x`` is
+    false) and then each of ``params``, all from one taped evaluation."""
+    with _nonfinite_as(error):
+        xt = Tensor(x, requires_grad=wrt_x)
+        loss = objective(xt)
+        gs = dc.grad(loss, [xt, *params] if wrt_x else list(params))
+    return loss.item(), [g.data for g in gs]
+
+
+def hvp_at(objective: Objective, z: np.ndarray, vec: np.ndarray,
+           error: ErrorFactory) -> np.ndarray:
+    """Hessian of the objective in z, at z, applied to ``vec``."""
+    with _nonfinite_as(error):
+        zt = Tensor(z, requires_grad=True)
+        return dc.hvp(objective(zt), zt, dc.constant(vec)).data
+
+
+def mixed_vjp_at(objective: Objective, z: np.ndarray,
+                 params: Sequence[Tensor], lam: np.ndarray,
+                 error: ErrorFactory) -> list[np.ndarray]:
+    """Gradient w.r.t. each of ``params`` of <d objective/dz (z), lam>."""
+    with _nonfinite_as(error):
+        zt = Tensor(z, requires_grad=True)
+        ms = dc.mixed_vjp(objective(zt), zt, params, dc.constant(lam))
+        return [m.data for m in ms]
+
+
+def _diverged_at(t: float) -> ErrorFactory:
+    return lambda _: FlowDivergedError(t, float("nan"))
+
+
 def _grad_eval(objective: Objective, z: np.ndarray,
                t: float) -> tuple[float, np.ndarray]:
-    """Loss and d loss/dz at z; one model call."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"), dc.recording():
-            zt = Tensor(z, requires_grad=True)
-            lt = objective(zt)
-            (g,) = dc.grad(lt, [zt])
-    except dc.NonFiniteError:
-        raise FlowDivergedError(t, float("nan")) from None
-    gd = g.data
-    if not np.isfinite(gd).all():
-        raise FlowDivergedError(t, float(np.linalg.norm(gd)))
-    return lt.item(), gd
-
-
-def _loss_eval(objective: Objective, z: np.ndarray, t: float) -> float:
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return objective(dc.constant(z)).item()
-    except dc.NonFiniteError:
-        raise FlowDivergedError(t, float("nan")) from None
+    """Loss and d loss/dz at flow time t; one model call."""
+    loss, (g,) = value_and_grad(objective, z, (), _diverged_at(t))
+    return loss, g
 
 
 def reconstruction_objective(y, decoder: DecoderParams,
@@ -184,7 +235,7 @@ def integrate_rk4(objective: Objective, z0: np.ndarray,
     alpha = _alpha_fn(cfg)
     ts = log_time_grid(cfg.tau, cfg.n_slices, cfg.grid_c)
     state = FlowState(z=np.array(z0, dtype=np.float64))
-    trace = FlowTrace()
+    trace = FlowTrace(solver=SolverKind.RK4_FIXED)
     z = state.z
     for i in range(cfg.n_slices):
         t, h = float(ts[i]), float(ts[i + 1] - ts[i])
@@ -220,7 +271,7 @@ def integrate_nesterov(objective: Objective, z0: np.ndarray,
     ts = log_time_grid(cfg.tau, cfg.n_slices, cfg.grid_c)
     state = FlowState(z=np.array(z0, dtype=np.float64),
                       v=np.zeros_like(np.asarray(z0, dtype=np.float64)))
-    trace = FlowTrace()
+    trace = FlowTrace(solver=SolverKind.NESTEROV2)
     z, v = state.z, state.v
 
     def rhs(t, zc, vc):
@@ -265,7 +316,7 @@ def integrate_amd(objective: Objective, z0: np.ndarray,
     backtracking exhausts (converged to machine precision).
     """
     state = FlowState(z=np.array(z0, dtype=np.float64))
-    trace = FlowTrace()
+    trace = FlowTrace(solver=SolverKind.AMD)
     z, t = state.z, 0.0
     s = cfg.s0
     l_cur, g = _grad_eval(objective, z, t)
@@ -287,7 +338,7 @@ def integrate_amd(objective: Objective, z0: np.ndarray,
             if clamped:
                 dt = remaining
             z_try = z - dt * g
-            l_try = _loss_eval(objective, z_try, t + dt)
+            l_try = loss_value(objective, z_try, _diverged_at(t + dt))
             state.model_calls += 1
             if l_try < l_cur:
                 accepted = True
@@ -363,7 +414,7 @@ def encode_sample(y, theta: DecoderParams, cfg: FlowConfig,
     """One flow solve with the solver selected by the config."""
     obj = reconstruction_objective(y, theta, kind)
     state, trace = _SOLVE[cfg.solver](obj, _default_z0(cfg, theta.latent_dim), cfg)
-    trace.theta_version = tuple(id(t) for t in theta.tensors())
+    trace.theta_version = theta.version
     return state, trace
 
 
@@ -381,10 +432,6 @@ def encode_batch(batch, theta: DecoderParams, cfg: FlowConfig,
         except FlowError as exc:
             raise FlowError(f"sample {i}: {exc}") from exc
     return results
-
-
-def total_model_calls(results) -> int:
-    return sum(state.model_calls for state, _ in results)
 
 
 def dump_trace_csv(path, results, sample_ids=None) -> None:

@@ -10,6 +10,7 @@ linear-flow test oracles rely on.
 
 from __future__ import annotations
 
+import itertools
 import json
 from enum import Enum
 
@@ -20,6 +21,9 @@ from .diffcore import Tensor
 
 CHECKPOINT_VERSION = 1
 
+# Process-wide, so no two parameter sets ever share a version.
+_VERSIONS = itertools.count()
+
 
 class LossKind(Enum):
     CROSS_ENTROPY = "cross_entropy"
@@ -27,7 +31,11 @@ class LossKind(Enum):
 
 
 class MLPParams:
-    """Ordered (weight, bias) pairs for a stack of linear layers."""
+    """Ordered (weight, bias) pairs for a stack of linear layers.
+
+    ``version`` is fresh on construction and on every ``replace_tensors``,
+    so a flow trace can tell whether the parameters changed since it ran.
+    """
 
     def __init__(self, weights: list[Tensor], biases: list[Tensor],
                  widths: list[int], output_mode: str = "sigmoid"):
@@ -44,6 +52,7 @@ class MLPParams:
         self.biases = biases
         self.widths = list(widths)
         self.output_mode = output_mode
+        self.version = next(_VERSIONS)
 
     @property
     def n_layers(self) -> int:
@@ -66,6 +75,7 @@ class MLPParams:
             raise ValueError("wrong number of parameter tensors")
         self.weights = [new[2 * i] for i in range(self.n_layers)]
         self.biases = [new[2 * i + 1] for i in range(self.n_layers)]
+        self.version = next(_VERSIONS)
 
     def copy(self) -> "MLPParams":
         return type(self)(
@@ -246,26 +256,37 @@ def save_checkpoint(path, decoder: DecoderParams,
              **arrays)
 
 
+def _need(mapping, key, path):
+    if key not in mapping:
+        raise ValueError(f"checkpoint {path} has no {key!r}")
+    return mapping[key]
+
+
 def load_checkpoint(path):
-    """Read a checkpoint; returns (decoder, encoder_or_None, extra_meta)."""
+    """Read a checkpoint; returns (decoder, encoder_or_None, extra_meta).
+
+    A missing array or metadata key raises ``ValueError`` naming it.
+    """
     with np.load(path) as z:
-        meta = json.loads(bytes(z["meta"]).decode())
+        meta = json.loads(bytes(_need(z, "meta", path)).decode())
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(
                 f"checkpoint version {meta.get('version')} unsupported "
                 f"(expected {CHECKPOINT_VERSION})")
-        widths = meta["decoder_widths"]
-        n = len(widths) - 1
-        dec = DecoderParams(
-            [Tensor(z[f"dec_w{i}"], requires_grad=True) for i in range(n)],
-            [Tensor(z[f"dec_b{i}"], requires_grad=True) for i in range(n)],
-            widths, meta["decoder_output_mode"])
+
+        def layers(prefix, widths, cls, output_mode):
+            n = len(widths) - 1
+            return cls(
+                [Tensor(_need(z, f"{prefix}_w{i}", path), requires_grad=True)
+                 for i in range(n)],
+                [Tensor(_need(z, f"{prefix}_b{i}", path), requires_grad=True)
+                 for i in range(n)],
+                widths, output_mode)
+
+        dec = layers("dec", _need(meta, "decoder_widths", path), DecoderParams,
+                     _need(meta, "decoder_output_mode", path))
         enc = None
-        if meta["has_encoder"]:
-            ew = meta["encoder_widths"]
-            m = len(ew) - 1
-            enc = EncoderParams(
-                [Tensor(z[f"enc_w{i}"], requires_grad=True) for i in range(m)],
-                [Tensor(z[f"enc_b{i}"], requires_grad=True) for i in range(m)],
-                ew, output_mode="identity")
-        return dec, enc, meta["extra"]
+        if _need(meta, "has_encoder", path):
+            enc = layers("enc", _need(meta, "encoder_widths", path),
+                         EncoderParams, "identity")
+        return dec, enc, _need(meta, "extra", path)

@@ -33,8 +33,9 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .flow import (FlowConfig, FlowTrace, SolverKind, _alpha_fn,
-                   encode_sample, reconstruction_objective)
+from .flow import (FlowConfig, FlowDivergedError, FlowTrace, SolverKind,
+                   _alpha_fn, encode_sample, hvp_at, mixed_vjp_at,
+                   reconstruction_objective, value_and_grad)
 from .models import DecoderParams, EncoderParams, LossKind, encode, \
     reconstruction_loss
 from .data import Dataset, SamplerState
@@ -46,7 +47,9 @@ class AdjointMode(Enum):
 
 
 class TrainDivergedError(RuntimeError):
-    pass
+    """A non-finite parameter gradient, optimizer step or training loss, a
+    flow that diverged during training, or validation loss past the
+    divergence guard."""
 
 
 class OptimizerKind(Enum):
@@ -119,86 +122,50 @@ def grad_theta_approximate(y, zstar: np.ndarray, theta: DecoderParams,
                            kind: LossKind = LossKind.CROSS_ENTROPY
                            ) -> tuple[list[np.ndarray], int]:
     """partial_theta l(y, D(z*, theta)) with z* held fixed; one model call."""
-    thetas = theta.tensors()
-    with dc.recording():
-        z = dc.constant(zstar)
-        loss = reconstruction_loss(y, z, theta, kind)
-        gs = dc.grad(loss, thetas)
-    grads = [g.data for g in gs]
-    for g, p in zip(grads, thetas):
-        if not np.isfinite(g).all():
-            raise TrainDivergedError(
-                f"non-finite parameter gradient (block shape {p.shape})")
+    _, grads = value_and_grad(reconstruction_objective(y, theta, kind), zstar,
+                              theta.tensors(), TrainDivergedError, wrt_x=False)
     return grads, 1
 
 
 def full_adjoint_gradient(objective, thetas: list[Tensor], trace: FlowTrace,
-                          alpha_fn, quadrature: str = "trapezoid",
-                          costate_out: list | None = None
+                          alpha_fn, costate_out: list | None = None
                           ) -> tuple[list[np.ndarray], int]:
     """Total d/d theta of the endpoint loss along a cached trajectory.
 
     ``objective`` maps a latent Tensor to the taped loss and closes over
     ``thetas``.  The costate is advanced backward with RK4 on each cached
     slice (latent linearly interpolated inside a slice); the integral term
-    uses the named quadrature on the grid points.  If ``costate_out`` is a
+    uses the trapezoid rule on the grid points.  If ``costate_out`` is a
     list, (t, lambda) pairs are appended in backward order.
     """
     if not trace.complete:
         raise ValueError("full adjoint needs a complete flow trace")
-    if quadrature not in ("trapezoid", "rectangle"):
-        raise ValueError(f"unknown quadrature {quadrature!r}")
-    calls = 0
+    if trace.solver == SolverKind.NESTEROV2:
+        raise ValueError("full adjoint of a Nesterov flow is not implemented: "
+                         "its costate lives on the (z, v) state; use the "
+                         "approximate gradient")
+    err = TrainDivergedError
     n = trace.n_slices
     ts, zs = trace.ts, trace.zs
 
     # Terminal condition and the partial derivative, from one shared graph.
-    with dc.recording():
-        z_end = Tensor(zs[-1], requires_grad=True)
-        loss = objective(z_end)
-        gs = dc.grad(loss, [z_end] + thetas)
-    calls += 1
-    lam = -gs[0].data
-    total = [g.data.copy() for g in gs[1:]]
+    _, gs = value_and_grad(objective, zs[-1], thetas, err)
+    lam = -gs[0]
+    total = [g.copy() for g in gs[1:]]
     if costate_out is not None:
         costate_out.append((ts[-1], lam.copy()))
 
-    def mixed_at(z_val, lam_val):
-        nonlocal calls
-        with dc.recording():
-            zt = Tensor(z_val, requires_grad=True)
-            lt = objective(zt)
-            ms = dc.mixed_vjp(lt, zt, thetas, dc.constant(lam_val))
-        calls += 3
-        return [m.data for m in ms]
-
-    def hvp_at(z_val, lam_val):
-        nonlocal calls
-        with dc.recording():
-            zt = Tensor(z_val, requires_grad=True)
-            lt = objective(zt)
-            hv = dc.hvp(lt, zt, dc.constant(lam_val))
-        calls += 3
-        return hv.data
-
-    m_right = mixed_at(zs[-1], lam) if quadrature == "trapezoid" else None
-
+    m_right = mixed_vjp_at(objective, zs[-1], thetas, lam, err)
     for j in range(n - 1, -1, -1):
         t_hi, t_lo = ts[j + 1], ts[j]
         dt = trace.dts[j]
         h = t_lo - t_hi  # negative
         z_lo, z_hi = zs[j], zs[j + 1]
 
-        def z_at(t):
-            w = 0.0 if dt == 0.0 else (t - t_lo) / dt
-            return z_lo + w * (z_hi - z_lo)
-
         def rhs(t, lam_val):
-            return alpha_fn(t) * hvp_at(z_at(t), lam_val)
-
-        if quadrature == "rectangle":
-            total = [acc + dt * alpha_fn(t_hi) * m for acc, m in
-                     zip(total, mixed_at(z_hi, lam))]
+            w = 0.0 if dt == 0.0 else (t - t_lo) / dt
+            z = z_lo + w * (z_hi - z_lo)
+            return alpha_fn(t) * hvp_at(objective, z, lam_val, err)
 
         k1 = rhs(t_hi, lam)
         k2 = rhs(t_hi + 0.5 * h, lam + 0.5 * h * k1)
@@ -208,39 +175,29 @@ def full_adjoint_gradient(objective, thetas: list[Tensor], trace: FlowTrace,
         if costate_out is not None:
             costate_out.append((t_lo, lam.copy()))
 
-        if quadrature == "trapezoid":
-            m_left = mixed_at(z_lo, lam)
-            total = [acc + 0.5 * dt * (alpha_fn(t_lo) * ml
-                                       + alpha_fn(t_hi) * mr)
-                     for acc, ml, mr in zip(total, m_left, m_right)]
-            m_right = m_left
+        m_left = mixed_vjp_at(objective, z_lo, thetas, lam, err)
+        total = [acc + 0.5 * dt * (alpha_fn(t_lo) * ml + alpha_fn(t_hi) * mr)
+                 for acc, ml, mr in zip(total, m_left, m_right)]
+        m_right = m_left
 
-    return total, calls
+    for g in total:
+        if not np.isfinite(g).all():
+            raise TrainDivergedError("non-finite full-adjoint gradient")
+    # One value+grad, n + 1 mixed-vjps and 4n hvps; second order costs 3.
+    return total, 1 + 3 * (n + 1) + 3 * 4 * n
 
 
 def grad_theta_full_adjoint(y, trace: FlowTrace, theta: DecoderParams,
                             cfg: FlowConfig,
-                            kind: LossKind = LossKind.CROSS_ENTROPY,
-                            quadrature: str = "trapezoid"
+                            kind: LossKind = LossKind.CROSS_ENTROPY
                             ) -> tuple[list[np.ndarray], int]:
     """Full-adjoint total derivative for a decoder reconstruction loss."""
-    if getattr(trace, "theta_version", None) is not None and \
-            trace.theta_version != theta_version(theta):
+    if trace.theta_version is not None and trace.theta_version != theta.version:
         raise ValueError("trace/theta mismatch: decoder parameters changed "
                          "since the forward flow")
-    objective = reconstruction_objective(y, theta, kind)
     alpha_fn = _alpha_fn(cfg) if cfg.solver != SolverKind.AMD else (lambda t: 1.0)
-    grads, calls = full_adjoint_gradient(objective, theta.tensors(), trace,
-                                         alpha_fn, quadrature)
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise TrainDivergedError("non-finite full-adjoint gradient")
-    return grads, calls
-
-
-def theta_version(theta: DecoderParams) -> tuple:
-    """Cheap identity fingerprint: optimizer steps swap tensor objects."""
-    return tuple(id(t) for t in theta.tensors())
+    return full_adjoint_gradient(reconstruction_objective(y, theta, kind),
+                                 theta.tensors(), trace, alpha_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -347,75 +304,92 @@ def evaluate(ds: Dataset, decoder: DecoderParams, mode: EvalMode,
     return total / n, calls
 
 
-def _validation_loss(val: Dataset, decoder, encoder, mode: EvalMode,
-                     cfg, kind, size: int) -> tuple[float, int]:
-    return evaluate(val, decoder, mode, cfg=cfg, encoder=encoder, kind=kind,
-                    limit=size)
+def _train(train: Dataset, val: Dataset, decoder: DecoderParams,
+           encoder: EncoderParams | None, cfg: FlowConfig | None,
+           kind: LossKind, opt: OptimizerState, schedule: TrainSchedule,
+           rng: np.random.Generator, sample_grad) -> TrainReport:
+    """The loop both trainers share.
+
+    ``sample_grad(y)`` returns (parameter gradients, loss, model calls) for
+    one image under the current parameters, gradients ordered as the
+    encoder's tensors (if any) followed by the decoder's.  Validation runs
+    ``evaluate`` through the encoder if there is one, else through the flow.
+    """
+    if len(train) == 0:
+        raise ValueError("empty training set")
+    nets = [m for m in (encoder, decoder) if m is not None]
+    params = [t for m in nets for t in m.tensors()]
+    mode = EvalMode.GFE_FLOW if encoder is None else EvalMode.AE_ENCODER
+    sampler = SamplerState(rng=rng, batch_size=schedule.batch_size)
+    t0 = time.perf_counter()
+    rows: list[MetricsRow] = []
+    total_calls = 0
+
+    def validate(it: int) -> float:
+        nonlocal total_calls
+        vloss, c = evaluate(val, decoder, mode, cfg=cfg, encoder=encoder,
+                            kind=kind, limit=schedule.val_size)
+        total_calls += c
+        rows.append(MetricsRow((time.perf_counter() - t0) * 1e3, it,
+                               it * schedule.batch_size, "val", vloss,
+                               total_calls))
+        return vloss
+
+    it = 0
+    try:
+        val0 = validate(0)
+        for it in range(1, schedule.iterations + 1):
+            idx = sampler.sample(len(train))
+            batch_grads = None
+            batch_loss = 0.0
+            for i in idx:
+                gs, loss, c = sample_grad(train.images[i])
+                total_calls += c
+                batch_loss += loss
+                if batch_grads is None:
+                    batch_grads = gs
+                else:
+                    batch_grads = [a + b for a, b in zip(batch_grads, gs)]
+            batch_grads = [g / len(idx) for g in batch_grads]
+            params = optimizer_step(opt, params, batch_grads)
+            k = 0
+            for m in nets:
+                m.replace_tensors(params[k:k + 2 * m.n_layers])
+                k += 2 * m.n_layers
+
+            rows.append(MetricsRow((time.perf_counter() - t0) * 1e3, it,
+                                   it * schedule.batch_size, "train",
+                                   batch_loss / len(idx), total_calls))
+            if it % schedule.validate_every == 0 or it == schedule.iterations:
+                vloss = validate(it)
+                if vloss > schedule.divergence_factor * max(val0, 1e-12):
+                    raise TrainDivergedError(
+                        f"validation loss {vloss:.4g} exceeded "
+                        f"{schedule.divergence_factor}x its initial value "
+                        f"{val0:.4g} at iteration {it}")
+    except (dc.NonFiniteError, FlowDivergedError) as exc:
+        raise TrainDivergedError(f"iteration {it}: {exc}") from exc
+    return TrainReport(rows, decoder, encoder, total_calls,
+                       schedule.iterations * schedule.batch_size)
 
 
 def train_gfe(train: Dataset, val: Dataset, decoder: DecoderParams,
               cfg: FlowConfig, mode: AdjointMode, opt: OptimizerState,
               schedule: TrainSchedule, rng: np.random.Generator,
-              kind: LossKind = LossKind.CROSS_ENTROPY,
-              quadrature: str = "trapezoid") -> TrainReport:
+              kind: LossKind = LossKind.CROSS_ENTROPY) -> TrainReport:
     """Flow-encode each batch sample, update theta per the adjoint mode."""
-    if len(train) == 0:
-        raise ValueError("empty training set")
-    sampler = SamplerState(rng=rng, batch_size=schedule.batch_size)
-    t0 = time.perf_counter()
-    rows: list[MetricsRow] = []
-    total_calls = 0
-    params = decoder.tensors()
 
-    val0, c = _validation_loss(val, decoder, None, EvalMode.GFE_FLOW, cfg,
-                               kind, schedule.val_size)
-    total_calls += c
-    rows.append(MetricsRow((time.perf_counter() - t0) * 1e3, 0, 0, "val",
-                           val0, total_calls))
+    def sample_grad(y):
+        state, trace = encode_sample(y, decoder, cfg, kind)
+        if mode == AdjointMode.APPROXIMATE:
+            gs, c = grad_theta_approximate(y, state.z, decoder, kind)
+        else:
+            gs, c = grad_theta_full_adjoint(y, trace, decoder, cfg, kind)
+        loss = reconstruction_loss(y, dc.constant(state.z), decoder, kind)
+        return gs, loss.item(), state.model_calls + c + 1
 
-    for it in range(1, schedule.iterations + 1):
-        idx = sampler.sample(len(train))
-        batch_grads = None
-        batch_loss = 0.0
-        for i in idx:
-            y = train.images[i]
-            state, trace = encode_sample(y, decoder, cfg, kind)
-            total_calls += state.model_calls
-            trace.theta_version = theta_version(decoder)
-            if mode == AdjointMode.APPROXIMATE:
-                gs, c = grad_theta_approximate(y, state.z, decoder, kind)
-            else:
-                gs, c = grad_theta_full_adjoint(y, trace, decoder, cfg, kind,
-                                                quadrature)
-            total_calls += c
-            batch_loss += reconstruction_loss(
-                y, dc.constant(state.z), decoder, kind).item()
-            total_calls += 1
-            if batch_grads is None:
-                batch_grads = gs
-            else:
-                batch_grads = [a + b for a, b in zip(batch_grads, gs)]
-        batch_grads = [g / len(idx) for g in batch_grads]
-        params = optimizer_step(opt, params, batch_grads)
-        decoder.replace_tensors(params)
-
-        images_seen = it * schedule.batch_size
-        rows.append(MetricsRow((time.perf_counter() - t0) * 1e3, it,
-                               images_seen, "train",
-                               batch_loss / len(idx), total_calls))
-        if it % schedule.validate_every == 0 or it == schedule.iterations:
-            vloss, c = _validation_loss(val, decoder, None, EvalMode.GFE_FLOW,
-                                        cfg, kind, schedule.val_size)
-            total_calls += c
-            rows.append(MetricsRow((time.perf_counter() - t0) * 1e3, it,
-                                   images_seen, "val", vloss, total_calls))
-            if vloss > schedule.divergence_factor * max(val0, 1e-12):
-                raise TrainDivergedError(
-                    f"validation loss {vloss:.4g} exceeded "
-                    f"{schedule.divergence_factor}x its initial value "
-                    f"{val0:.4g} at iteration {it}")
-    return TrainReport(rows, decoder, None, total_calls,
-                       schedule.iterations * schedule.batch_size)
+    return _train(train, val, decoder, None, cfg, kind, opt, schedule, rng,
+                  sample_grad)
 
 
 def train_ae(train: Dataset, val: Dataset, encoder: EncoderParams,
@@ -423,60 +397,15 @@ def train_ae(train: Dataset, val: Dataset, encoder: EncoderParams,
              schedule: TrainSchedule, rng: np.random.Generator,
              kind: LossKind = LossKind.CROSS_ENTROPY) -> TrainReport:
     """Standard encoder+decoder loop with the same logging."""
-    if len(train) == 0:
-        raise ValueError("empty training set")
     if not encoder.matches_decoder(decoder):
         raise ValueError("encoder widths must mirror the decoder's")
-    sampler = SamplerState(rng=rng, batch_size=schedule.batch_size)
-    t0 = time.perf_counter()
-    rows: list[MetricsRow] = []
-    total_calls = 0
-    params = encoder.tensors() + decoder.tensors()
 
-    val0, c = _validation_loss(val, decoder, encoder, EvalMode.AE_ENCODER,
-                               None, kind, schedule.val_size)
-    total_calls += c
-    rows.append(MetricsRow((time.perf_counter() - t0) * 1e3, 0, 0, "val",
-                           val0, total_calls))
+    def sample_grad(y):
+        loss, gs = value_and_grad(
+            lambda x: reconstruction_loss(y, encode(x, encoder), decoder, kind),
+            y, encoder.tensors() + decoder.tensors(), TrainDivergedError,
+            wrt_x=False)
+        return gs, loss, 1
 
-    ne = 2 * encoder.n_layers
-    for it in range(1, schedule.iterations + 1):
-        idx = sampler.sample(len(train))
-        batch_grads = None
-        batch_loss = 0.0
-        for i in idx:
-            y = train.images[i]
-            with dc.recording():
-                z = encode(dc.constant(y), encoder)
-                loss = reconstruction_loss(y, z, decoder, kind)
-                gs = dc.grad(loss, params)
-            total_calls += 1
-            batch_loss += loss.item()
-            grads = [g.data for g in gs]
-            if batch_grads is None:
-                batch_grads = grads
-            else:
-                batch_grads = [a + b for a, b in zip(batch_grads, grads)]
-        batch_grads = [g / len(idx) for g in batch_grads]
-        params = optimizer_step(opt, params, batch_grads)
-        encoder.replace_tensors(params[:ne])
-        decoder.replace_tensors(params[ne:])
-
-        images_seen = it * schedule.batch_size
-        rows.append(MetricsRow((time.perf_counter() - t0) * 1e3, it,
-                               images_seen, "train",
-                               batch_loss / len(idx), total_calls))
-        if it % schedule.validate_every == 0 or it == schedule.iterations:
-            vloss, c = _validation_loss(val, decoder, encoder,
-                                        EvalMode.AE_ENCODER, None, kind,
-                                        schedule.val_size)
-            total_calls += c
-            rows.append(MetricsRow((time.perf_counter() - t0) * 1e3, it,
-                                   images_seen, "val", vloss, total_calls))
-            if vloss > schedule.divergence_factor * max(val0, 1e-12):
-                raise TrainDivergedError(
-                    f"validation loss {vloss:.4g} exceeded "
-                    f"{schedule.divergence_factor}x its initial value "
-                    f"{val0:.4g} at iteration {it}")
-    return TrainReport(rows, decoder, encoder, total_calls,
-                       schedule.iterations * schedule.batch_size)
+    return _train(train, val, decoder, encoder, None, kind, opt, schedule, rng,
+                  sample_grad)

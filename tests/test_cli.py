@@ -87,6 +87,23 @@ class TestTrain:
         rc = run_cli(["train", "--config", cfg_file])
         assert rc == 1
 
+    def test_diverging_run_fails_cleanly(self, tmp_path, capsys):
+        rc = run_cli(["train", "--method", "ae", "--seed", "1", "--lr", "1e30",
+                      "--out", tmp_path / "run"] + FAST)
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_nesterov_full_adjoint_rejected_before_loading(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "run"
+        rc = run_cli(["train", "--method", "gfe-nesterov", "--adjoint", "full",
+                      "--dataset", "mnist", "--data-dir", tmp_path / "none",
+                      "--out", out])
+        assert rc == 1
+        assert "gfe-nesterov" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seg_flag_restricts_labels(self):
         cfg = cli.ExperimentConfig(seg=True, subset=50)
         train, val, test = cli.load_splits(cfg)
@@ -99,6 +116,16 @@ class TestEval:
     def test_missing_checkpoint_fails_cleanly(self, tmp_path):
         rc = run_cli(["eval", "--checkpoint", tmp_path / "nope.npz"] + FAST)
         assert rc == 1
+
+    def test_checkpoint_missing_array_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "d.npz"
+        md.save_checkpoint(path, md.init_decoder([8, 16, 784]))
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files if k != "dec_w1"}
+        np.savez(path, **arrays)
+        rc = run_cli(["eval", "--checkpoint", path] + FAST)
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -347,12 +347,17 @@ class TestTape:
             a = dc.elu(x)
             b = dc.mul(a, a)
             dc.tsum(b)
+            # Every tape tensor stays alive here, so ids are unique.
+            produced = {id(node.out) for node in tape.ops}
             seen = set()
+            checked = 0
             for node in tape.ops:
                 for parent in node.parents:
-                    if parent.node is not None:
+                    if id(parent) in produced:
                         assert id(parent) in seen, "parent recorded after child"
+                        checked += 1
                 seen.add(id(node.out))
+            assert checked >= 3  # elu -> mul (twice) -> sum
 
     def test_retained_tape_supports_second_differentiation(self):
         with dc.recording() as tape:

@@ -1,5 +1,7 @@
 """Optimizers, both parameter-gradient routes, training loops, evaluation."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -230,12 +232,62 @@ class TestFullAdjoint:
         with pytest.raises(ValueError, match="mismatch"):
             tr.grad_theta_full_adjoint(y, trace, dec, cfg)
 
+    def test_nesterov_trace_rejected(self):
+        dec = small_decoder()
+        y = np.random.default_rng(0).uniform(0.1, 0.9, size=16)
+        cfg = fl.FlowConfig(tau=5.0, solver=fl.SolverKind.NESTEROV2,
+                            n_slices=10)
+        _, trace = fl.solve_nesterov(y, dec, cfg)
+        assert trace.solver == fl.SolverKind.NESTEROV2
+        with pytest.raises(ValueError, match="Nesterov"):
+            tr.grad_theta_full_adjoint(y, trace, dec, cfg)
+
     def test_incomplete_trace_rejected(self):
         th = Tensor([1.0], requires_grad=True)
         trace = fl.FlowTrace(ts=[0.0], zs=[np.zeros(1)], complete=False)
         with pytest.raises(ValueError, match="complete"):
             tr.full_adjoint_gradient(lambda z: dc.dot(z, z), [th], trace,
                                      lambda t: 1.0)
+
+
+class TestTapeBoundary:
+    def test_tapes_need_no_cyclic_collector(self):
+        # Tapes are freed by reference counting alone: with the collector
+        # off, a value+grad and a full adjoint leave it nothing to find.
+        dec = small_decoder(seed=3)
+        y = np.random.default_rng(3).uniform(0.1, 0.9, size=16)
+        cfg = fl.FlowConfig(tau=5.0, solver=fl.SolverKind.RK4_FIXED,
+                            n_slices=5)
+        gc.collect()
+        gc.disable()
+        try:
+            state, trace = fl.encode_sample(y, dec, cfg)
+            tr.grad_theta_approximate(y, state.z, dec)
+            tr.grad_theta_full_adjoint(y, trace, dec, cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_non_finite_parameter_gradient_is_typed(self):
+        dec = small_decoder(seed=2)
+        big = md.DecoderParams([Tensor(w.data * 1e200, requires_grad=True)
+                                for w in dec.weights],
+                               dec.biases, dec.widths)
+        z = np.random.default_rng(0).normal(size=4)
+        y = np.random.default_rng(1).uniform(0.1, 0.9, size=16)
+        with pytest.raises(tr.TrainDivergedError):
+            tr.grad_theta_approximate(y, z, big)
+
+    def test_overflowing_optimizer_step_is_typed(self):
+        train, val, _ = synth_splits(n=40, seed=23, n_val=8, n_test=8)
+        dec = md.init_decoder([6, 12, 784], np.random.default_rng(4))
+        cfg = fl.FlowConfig(tau=10.0, solver=fl.SolverKind.AMD)
+        opt = tr.rmsprop_state(dec.tensors(), lr=1e308)
+        sched = tr.TrainSchedule(iterations=2, batch_size=1, val_size=2)
+        with np.errstate(over="ignore"), \
+                pytest.raises(tr.TrainDivergedError, match="iteration 1"):
+            tr.train_gfe(train, val, dec, cfg, tr.AdjointMode.APPROXIMATE,
+                         opt, sched, np.random.default_rng(0))
 
 
 class TestCostStructure:
