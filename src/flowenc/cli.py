@@ -20,7 +20,8 @@ from . import data as dd
 from . import diffcore as dc
 from . import models as md
 from . import training as tr
-from .flow import AlphaSchedule, FlowConfig, FlowError, SolverKind
+from .flow import (AlphaSchedule, FlowConfig, FlowError, SolverKind,
+                   forward_value)
 
 
 @dataclass
@@ -217,18 +218,12 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = build_config(args)
     ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        print(f"checkpoint not found: {ckpt}", file=sys.stderr)
-        return 1
     decoder, encoder, _ = md.load_checkpoint(ckpt)
     _, val, test = load_splits(cfg)
     split = {"validation": val, "test": test}[args.split]
-    mode = tr.EvalMode(args.mode)
-    if mode == tr.EvalMode.AE_ENCODER and encoder is None:
-        print("checkpoint has no encoder; use --mode gfe-flow", file=sys.stderr)
-        return 1
     loss, calls = tr.evaluate(
-        split, decoder, mode, cfg=cfg.flow_config(for_eval=True),
+        split, decoder, tr.EvalMode(args.mode),
+        cfg=cfg.flow_config(for_eval=True),
         encoder=encoder, kind=cfg.loss_kind(), limit=cfg.eval_limit or None,
         warm_start_encoder=cfg.warm_start)
     print(f"mean loss ({args.split}, {args.mode}): {loss:.6f}")
@@ -292,11 +287,7 @@ def write_pgm(path, image: np.ndarray, side: int = 28) -> None:
 
 def cmd_dump_recons(args) -> int:
     cfg = build_config(args)
-    ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        print(f"checkpoint not found: {ckpt}", file=sys.stderr)
-        return 1
-    decoder, encoder, _ = md.load_checkpoint(ckpt)
+    decoder, encoder, _ = md.load_checkpoint(args.checkpoint)
     _, _, test = load_splits(cfg)
     mode = tr.EvalMode(args.mode)
     outdir = Path(args.out or "recons")
@@ -306,13 +297,10 @@ def cmd_dump_recons(args) -> int:
     flow_cfg = cfg.flow_config(for_eval=True)
     for i in range(n):
         y = test.images[i]
-        if mode == tr.EvalMode.AE_ENCODER:
-            z = md.encode(dc.constant(y), encoder)
-        else:
-            from .flow import encode_sample
-            state, _ = encode_sample(y, decoder, flow_cfg, cfg.loss_kind())
-            z = dc.constant(state.z)
-        recon = md.decode(z, decoder).data
+        z, _ = tr.eval_latent(y, decoder, mode, flow_cfg, encoder,
+                              cfg.loss_kind(), cfg.warm_start)
+        recon = forward_value(lambda x: md.decode(x, decoder), z,
+                              tr.TrainDivergedError)
         p_in, p_out = f"recon_{i:03d}_in.pgm", f"recon_{i:03d}_out.pgm"
         write_pgm(outdir / p_in, y)
         write_pgm(outdir / p_out, recon)

@@ -9,15 +9,20 @@ Three interchangeable integrators:
   reconstruction loss strictly decreases, with a multiplicative step-scale
   schedule and early stopping on stagnation.
 
+There are two integrator bodies: AMD, and one log-grid driver for the other
+two (Nesterov on the stacked state (z, v)) that steps with :func:`rk4_step`,
+as the full adjoint in ``training`` does for its costate.
+
 Solvers are pure: given (sample, parameters, config) they always produce
 the same trajectory.  Every decoder evaluation is counted in
 ``FlowState.model_calls``.
 
-Every taped evaluation of an objective, here and in ``training``, goes
-through the tape-boundary helpers below (:func:`loss_value`,
+Every taped evaluation of an objective, here and in ``training``, and
+every untaped forward pass there and in ``cli``, goes through the
+tape-boundary helpers below (:func:`forward_value`, :func:`loss_value`,
 :func:`value_and_grad`, :func:`hvp_at`, :func:`mixed_vjp_at`).  They open
-the tape and turn diffcore's ``NonFiniteError`` into the caller's typed
-error.
+the tape where one is needed and turn diffcore's ``NonFiniteError`` into
+the caller's typed error.
 """
 
 from __future__ import annotations
@@ -72,8 +77,6 @@ class FlowConfig:
     epsilon: float = 1e-3
     early_stop_tol: float = 0.01
     z0: np.ndarray | None = None
-    backtrack_cap: int = 50
-    grid_c: float = 3.0
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
@@ -128,10 +131,17 @@ class FlowTrace:
 Objective = Callable[[Tensor], Tensor]
 
 
-def log_time_grid(tau: float, n_slices: int, c: float = 3.0) -> np.ndarray:
-    """Monotone grid on [0, tau], denser near zero: tau*(e^(ci/N)-1)/(e^c-1)."""
+#: Density of the log time grid: slice i ends at tau*(e^(ci/N)-1)/(e^c-1).
+GRID_C = 3.0
+
+#: AMD shrinks a rejected step (by beta) at most this many times.
+BACKTRACK_CAP = 50
+
+
+def log_time_grid(tau: float, n_slices: int) -> np.ndarray:
+    """Monotone grid on [0, tau], denser near zero (see ``GRID_C``)."""
     i = np.arange(n_slices + 1, dtype=np.float64)
-    return tau * np.expm1(c * i / n_slices) / np.expm1(c)
+    return tau * np.expm1(GRID_C * i / n_slices) / np.expm1(GRID_C)
 
 
 def _alpha_fn(cfg: FlowConfig) -> Callable[[float], float]:
@@ -159,11 +169,17 @@ def _nonfinite_as(error: ErrorFactory, taped: bool = True):
         raise error(str(exc)) from None
 
 
+def forward_value(fn: Callable[[Tensor], Tensor], x: np.ndarray,
+                  error: ErrorFactory) -> np.ndarray:
+    """fn(x) as an array, with x held constant; no tape is opened."""
+    with _nonfinite_as(error, taped=False):
+        return fn(dc.constant(x)).data
+
+
 def loss_value(objective: Objective, x: np.ndarray,
                error: ErrorFactory) -> float:
-    """objective(x) with x held constant; no tape is opened."""
-    with _nonfinite_as(error, taped=False):
-        return objective(dc.constant(x)).item()
+    """objective(x) as a float, with x held constant; no tape is opened."""
+    return forward_value(objective, x, error).item()
 
 
 def value_and_grad(objective: Objective, x: np.ndarray,
@@ -200,13 +216,6 @@ def _diverged_at(t: float) -> ErrorFactory:
     return lambda _: FlowDivergedError(t, float("nan"))
 
 
-def _grad_eval(objective: Objective, z: np.ndarray,
-               t: float) -> tuple[float, np.ndarray]:
-    """Loss and d loss/dz at flow time t; one model call."""
-    loss, (g,) = value_and_grad(objective, z, (), _diverged_at(t))
-    return loss, g
-
-
 def reconstruction_objective(y, decoder: DecoderParams,
                              kind: LossKind = LossKind.CROSS_ENTROPY) -> Objective:
     yd = np.asarray(y.data if isinstance(y, Tensor) else y, dtype=np.float64)
@@ -230,76 +239,71 @@ def _default_z0(cfg: FlowConfig, dim: int) -> np.ndarray:
 # Integrators (objective-generic; the solve_* wrappers below bind a decoder)
 # ---------------------------------------------------------------------------
 
+def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t0: float,
+             t1: float, y: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of dy/dt = f(t, y) from t0 to t1 (either
+    direction), given k1 = f(t0, y).  The last stage is taken at exactly t1."""
+    h = t1 - t0
+    t_mid = t0 + 0.5 * h
+    k2 = f(t_mid, y + 0.5 * h * k1)
+    k3 = f(t_mid, y + 0.5 * h * k2)
+    k4 = f(t1, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _integrate_log_grid(objective: Objective, y: np.ndarray, n_z: int,
+                        cfg: FlowConfig, solver: SolverKind, rhs
+                        ) -> tuple[FlowState, FlowTrace]:
+    """RK4 over the log time grid of dy/dt = rhs(t, y, grad_z l(z)).
+
+    The latent z is ``y[:n_z]``; the rest of y, if any, ends in ``state.v``.
+    """
+    ts = log_time_grid(cfg.tau, cfg.n_slices).tolist()
+    state = FlowState(z=y[:n_z], t=ts[-1])
+    trace = FlowTrace(ts=ts, solver=solver)
+
+    def f(t, yc):
+        _, (g,) = value_and_grad(objective, yc[:n_z], (), _diverged_at(t))
+        return rhs(t, yc, g)
+
+    for t0, t1 in zip(ts, ts[1:]):
+        l0, (g0,) = value_and_grad(objective, y[:n_z], (), _diverged_at(t0))
+        trace.zs.append(y[:n_z].copy())
+        trace.dts.append(t1 - t0)
+        trace.grads.append(g0)
+        state.loss_history.append((t0, l0))
+        y = rk4_step(f, t0, t1, y, rhs(t0, y, g0))
+        state.model_calls += 4
+        if not np.isfinite(y).all():
+            raise FlowDivergedError(t1, float(np.linalg.norm(g0)))
+    trace.zs.append(y[:n_z].copy())
+    trace.complete = True
+    state.z, state.v = y[:n_z], (y[n_z:] if y.size > n_z else None)
+    return state, trace
+
+
 def integrate_rk4(objective: Objective, z0: np.ndarray,
                   cfg: FlowConfig) -> tuple[FlowState, FlowTrace]:
+    """dz/dt = -alpha(t) grad l on the log grid."""
     alpha = _alpha_fn(cfg)
-    ts = log_time_grid(cfg.tau, cfg.n_slices, cfg.grid_c)
-    state = FlowState(z=np.array(z0, dtype=np.float64))
-    trace = FlowTrace(solver=SolverKind.RK4_FIXED)
-    z = state.z
-    for i in range(cfg.n_slices):
-        t, h = float(ts[i]), float(ts[i + 1] - ts[i])
-        l0, g0 = _grad_eval(objective, z, t)
-        k1 = -alpha(t) * g0
-        _, g = _grad_eval(objective, z + 0.5 * h * k1, t + 0.5 * h)
-        k2 = -alpha(t + 0.5 * h) * g
-        _, g = _grad_eval(objective, z + 0.5 * h * k2, t + 0.5 * h)
-        k3 = -alpha(t + 0.5 * h) * g
-        _, g = _grad_eval(objective, z + h * k3, t + h)
-        k4 = -alpha(t + h) * g
-        state.model_calls += 4
-        trace.ts.append(t)
-        trace.zs.append(z.copy())
-        trace.dts.append(h)
-        trace.grads.append(g0)
-        state.loss_history.append((t, l0))
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(z).all():
-            raise FlowDivergedError(t + h, float(np.linalg.norm(g0)))
-    trace.ts.append(float(ts[-1]))
-    trace.zs.append(z.copy())
-    trace.complete = True
-    state.z = z
-    state.t = float(ts[-1])
-    return state, trace
+    z = np.array(z0, dtype=np.float64)
+    return _integrate_log_grid(objective, z, z.size, cfg, SolverKind.RK4_FIXED,
+                               lambda t, zc, g: -alpha(t) * g)
 
 
 def integrate_nesterov(objective: Objective, z0: np.ndarray,
                        cfg: FlowConfig) -> tuple[FlowState, FlowTrace]:
-    """Coupled first-order form of z'' + 3/(t+eps) z' + grad l = 0."""
+    """Coupled first-order form of z'' + 3/(t+eps) z' + grad l = 0, on the
+    stacked state (z, v) with v(0) = 0."""
     eps = cfg.epsilon
-    ts = log_time_grid(cfg.tau, cfg.n_slices, cfg.grid_c)
-    state = FlowState(z=np.array(z0, dtype=np.float64),
-                      v=np.zeros_like(np.asarray(z0, dtype=np.float64)))
-    trace = FlowTrace(solver=SolverKind.NESTEROV2)
-    z, v = state.z, state.v
+    z = np.array(z0, dtype=np.float64)
+    d = z.size
 
-    def rhs(t, zc, vc):
-        l, g = _grad_eval(objective, zc, t)
-        state.model_calls += 1
-        return vc, -(3.0 / (t + eps)) * vc - g, l, g
+    def rhs(t, y, g):
+        return np.concatenate((y[d:], -(3.0 / (t + eps)) * y[d:] - g))
 
-    for i in range(cfg.n_slices):
-        t, h = float(ts[i]), float(ts[i + 1] - ts[i])
-        k1z, k1v, l0, g0 = rhs(t, z, v)
-        k2z, k2v, _, _ = rhs(t + 0.5 * h, z + 0.5 * h * k1z, v + 0.5 * h * k1v)
-        k3z, k3v, _, _ = rhs(t + 0.5 * h, z + 0.5 * h * k2z, v + 0.5 * h * k2v)
-        k4z, k4v, _, _ = rhs(t + h, z + h * k3z, v + h * k3v)
-        trace.ts.append(t)
-        trace.zs.append(z.copy())
-        trace.dts.append(h)
-        trace.grads.append(g0)
-        state.loss_history.append((t, l0))
-        z = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not (np.isfinite(z).all() and np.isfinite(v).all()):
-            raise FlowDivergedError(t + h, float(np.linalg.norm(g0)))
-    trace.ts.append(float(ts[-1]))
-    trace.zs.append(z.copy())
-    trace.complete = True
-    state.z, state.v = z, v
-    state.t = float(ts[-1])
-    return state, trace
+    return _integrate_log_grid(objective, np.concatenate((z, np.zeros(d))),
+                               d, cfg, SolverKind.NESTEROV2, rhs)
 
 
 _GRAD_FLOOR = 1e-15
@@ -319,7 +323,7 @@ def integrate_amd(objective: Objective, z0: np.ndarray,
     trace = FlowTrace(solver=SolverKind.AMD)
     z, t = state.z, 0.0
     s = cfg.s0
-    l_cur, g = _grad_eval(objective, z, t)
+    l_cur, (g,) = value_and_grad(objective, z, (), _diverged_at(t))
     state.model_calls += 1
     state.loss_history.append((t, l_cur))
 
@@ -332,7 +336,7 @@ def integrate_amd(objective: Objective, z0: np.ndarray,
         accepted = False
         m = 0
         remaining = cfg.tau - t
-        while m <= cfg.backtrack_cap:
+        while m <= BACKTRACK_CAP:
             dt = (cfg.beta ** m) * s
             clamped = dt > remaining
             if clamped:
@@ -345,7 +349,7 @@ def integrate_amd(objective: Objective, z0: np.ndarray,
                 break
             if clamped:
                 # Same clamped dt would repeat; jump to the first m below it.
-                while (cfg.beta ** (m + 1)) * s > remaining and m <= cfg.backtrack_cap:
+                while (cfg.beta ** (m + 1)) * s > remaining and m <= BACKTRACK_CAP:
                     m += 1
             m += 1
         if not accepted:
@@ -366,7 +370,7 @@ def integrate_amd(objective: Objective, z0: np.ndarray,
         if t >= cfg.tau:
             break
         s = min(max(cfg.kappa * s, cfg.s0), cfg.s_max)
-        l_cur, g = _grad_eval(objective, z, t)
+        l_cur, (g,) = value_and_grad(objective, z, (), _diverged_at(t))
         state.model_calls += 1
 
     trace.ts.append(t)
@@ -388,25 +392,19 @@ _SOLVE = {
 }
 
 
-def solve_rk4_fixed(y, theta: DecoderParams, cfg: FlowConfig,
-                    kind: LossKind = LossKind.CROSS_ENTROPY):
-    if cfg.solver != SolverKind.RK4_FIXED:
-        raise ValueError("config selects a different solver")
-    return encode_sample(y, theta, cfg, kind)
-
-
-def solve_nesterov(y, theta: DecoderParams, cfg: FlowConfig,
-                   kind: LossKind = LossKind.CROSS_ENTROPY):
-    if cfg.solver != SolverKind.NESTEROV2:
-        raise ValueError("config selects a different solver")
-    return encode_sample(y, theta, cfg, kind)
-
-
-def solve_amd(y, theta: DecoderParams, cfg: FlowConfig,
+def _solve_with(solver: SolverKind):
+    """``encode_sample``, after checking that the config selects ``solver``."""
+    def solve(y, theta: DecoderParams, cfg: FlowConfig,
               kind: LossKind = LossKind.CROSS_ENTROPY):
-    if cfg.solver != SolverKind.AMD:
-        raise ValueError("config selects a different solver")
-    return encode_sample(y, theta, cfg, kind)
+        if cfg.solver != solver:
+            raise ValueError("config selects a different solver")
+        return encode_sample(y, theta, cfg, kind)
+    return solve
+
+
+solve_rk4_fixed = _solve_with(SolverKind.RK4_FIXED)
+solve_nesterov = _solve_with(SolverKind.NESTEROV2)
+solve_amd = _solve_with(SolverKind.AMD)
 
 
 def encode_sample(y, theta: DecoderParams, cfg: FlowConfig,
@@ -442,12 +440,10 @@ def dump_trace_csv(path, results, sample_ids=None) -> None:
         writer = csv.writer(fh)
         writer.writerow(["sample_id", "step", "t", "dt", "loss", "grad_norm"])
         for sid, (state, trace) in zip(sample_ids, results):
-            losses = dict(
-                (round(t, 12), l) for t, l in state.loss_history)
+            # Every solver records loss_history[k] at trace.ts[k].
             for k in range(trace.n_slices):
-                t = trace.ts[k]
                 writer.writerow([
-                    sid, k, f"{t:.9g}", f"{trace.dts[k]:.9g}",
-                    f"{losses.get(round(t, 12), float('nan')):.9g}",
+                    sid, k, f"{trace.ts[k]:.9g}", f"{trace.dts[k]:.9g}",
+                    f"{state.loss_history[k][1]:.9g}",
                     f"{np.linalg.norm(trace.grads[k]):.9g}",
                 ])

@@ -265,7 +265,8 @@ def _need(mapping, key, path):
 def load_checkpoint(path):
     """Read a checkpoint; returns (decoder, encoder_or_None, extra_meta).
 
-    A missing array or metadata key raises ``ValueError`` naming it.
+    A missing array or metadata key, or an array holding NaN or Inf, raises
+    ``ValueError`` naming it.
     """
     with np.load(path) as z:
         meta = json.loads(bytes(_need(z, "meta", path)).decode())
@@ -274,14 +275,17 @@ def load_checkpoint(path):
                 f"checkpoint version {meta.get('version')} unsupported "
                 f"(expected {CHECKPOINT_VERSION})")
 
+        def tensor(key):
+            arr = _need(z, key, path)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"checkpoint {path}: {key!r} holds NaN or Inf")
+            return Tensor(arr, requires_grad=True)
+
         def layers(prefix, widths, cls, output_mode):
             n = len(widths) - 1
-            return cls(
-                [Tensor(_need(z, f"{prefix}_w{i}", path), requires_grad=True)
-                 for i in range(n)],
-                [Tensor(_need(z, f"{prefix}_b{i}", path), requires_grad=True)
-                 for i in range(n)],
-                widths, output_mode)
+            return cls([tensor(f"{prefix}_w{i}") for i in range(n)],
+                       [tensor(f"{prefix}_b{i}") for i in range(n)],
+                       widths, output_mode)
 
         dec = layers("dec", _need(meta, "decoder_widths", path), DecoderParams,
                      _need(meta, "decoder_output_mode", path))

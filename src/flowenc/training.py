@@ -34,8 +34,9 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Tensor
 from .flow import (FlowConfig, FlowDivergedError, FlowTrace, SolverKind,
-                   _alpha_fn, encode_sample, hvp_at, mixed_vjp_at,
-                   reconstruction_objective, value_and_grad)
+                   _alpha_fn, encode_sample, forward_value, hvp_at,
+                   loss_value, mixed_vjp_at, reconstruction_objective,
+                   rk4_step, value_and_grad)
 from .models import DecoderParams, EncoderParams, LossKind, encode, \
     reconstruction_loss
 from .data import Dataset, SamplerState
@@ -133,9 +134,9 @@ def full_adjoint_gradient(objective, thetas: list[Tensor], trace: FlowTrace,
     """Total d/d theta of the endpoint loss along a cached trajectory.
 
     ``objective`` maps a latent Tensor to the taped loss and closes over
-    ``thetas``.  The costate is advanced backward with RK4 on each cached
-    slice (latent linearly interpolated inside a slice); the integral term
-    uses the trapezoid rule on the grid points.  If ``costate_out`` is a
+    ``thetas``.  The costate is advanced backward by ``rk4_step`` on each
+    cached slice (latent linearly interpolated inside a slice); the integral
+    term uses the trapezoid rule on the grid points.  If ``costate_out`` is a
     list, (t, lambda) pairs are appended in backward order.
     """
     if not trace.complete:
@@ -159,7 +160,6 @@ def full_adjoint_gradient(objective, thetas: list[Tensor], trace: FlowTrace,
     for j in range(n - 1, -1, -1):
         t_hi, t_lo = ts[j + 1], ts[j]
         dt = trace.dts[j]
-        h = t_lo - t_hi  # negative
         z_lo, z_hi = zs[j], zs[j + 1]
 
         def rhs(t, lam_val):
@@ -167,11 +167,7 @@ def full_adjoint_gradient(objective, thetas: list[Tensor], trace: FlowTrace,
             z = z_lo + w * (z_hi - z_lo)
             return alpha_fn(t) * hvp_at(objective, z, lam_val, err)
 
-        k1 = rhs(t_hi, lam)
-        k2 = rhs(t_hi + 0.5 * h, lam + 0.5 * h * k1)
-        k3 = rhs(t_hi + 0.5 * h, lam + 0.5 * h * k2)
-        k4 = rhs(t_lo, lam + h * k3)
-        lam = lam + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        lam = rk4_step(rhs, t_hi, t_lo, lam, rhs(t_hi, lam))
         if costate_out is not None:
             costate_out.append((t_lo, lam.copy()))
 
@@ -263,6 +259,29 @@ class EvalMode(Enum):
     GFE_FLOW = "gfe-flow"
 
 
+def eval_latent(y, decoder: DecoderParams, mode: EvalMode, cfg: FlowConfig,
+                encoder: EncoderParams | None = None,
+                kind: LossKind = LossKind.CROSS_ENTROPY,
+                warm_start_encoder: bool = False) -> tuple[np.ndarray, int]:
+    """The latent ``mode`` assigns to image y, and the model calls it took.
+
+    AE_ENCODER takes the encoder's output (no decoder call).  GFE_FLOW
+    encodes with the flow under frozen parameters, from zero, or with
+    ``warm_start_encoder`` and an encoder available, from the encoder's
+    latent, so the flow can only refine it.
+    """
+    if mode == EvalMode.AE_ENCODER or (warm_start_encoder
+                                       and encoder is not None):
+        if encoder is None:
+            raise ValueError("ae-encoder mode needs an encoder; use gfe-flow")
+        z = forward_value(lambda x: encode(x, encoder), y, TrainDivergedError)
+        if mode == EvalMode.AE_ENCODER:
+            return z, 0
+        cfg = replace(cfg, z0=z)
+    state, _ = encode_sample(y, decoder, cfg, kind)
+    return state.z, state.model_calls
+
+
 def evaluate(ds: Dataset, decoder: DecoderParams, mode: EvalMode,
              cfg: FlowConfig | None = None,
              encoder: EncoderParams | None = None,
@@ -271,36 +290,23 @@ def evaluate(ds: Dataset, decoder: DecoderParams, mode: EvalMode,
              warm_start_encoder: bool = False) -> tuple[float, int]:
     """Mean reconstruction loss over a split; returns (loss, model calls).
 
-    GFE_FLOW re-encodes each sample with the flow (frozen parameters).
-    With ``warm_start_encoder`` and an encoder available, the flow starts
-    from the encoder's latent instead of zero, so it can only refine it.
+    Each image is encoded by :func:`eval_latent`, and its loss costs one
+    more model call.  A non-finite encoder output or loss raises
+    ``TrainDivergedError``; a diverging flow, ``FlowDivergedError``.
     """
     if len(ds) == 0:
         raise ValueError("evaluate: empty split")
+    cfg = cfg if cfg is not None else FlowConfig()
     n = len(ds) if limit is None else min(limit, len(ds))
     calls = 0
     total = 0.0
-    if mode == EvalMode.AE_ENCODER:
-        if encoder is None:
-            raise ValueError("AE_ENCODER evaluation needs encoder parameters")
-        for i in range(n):
-            y = ds.images[i]
-            z = encode(dc.constant(y), encoder)
-            total += reconstruction_loss(y, z, decoder, kind).item()
-            calls += 1
-    else:
-        cfg = cfg if cfg is not None else FlowConfig()
-        for i in range(n):
-            y = ds.images[i]
-            sample_cfg = cfg
-            if warm_start_encoder and encoder is not None:
-                z0 = encode(dc.constant(y), encoder).data
-                sample_cfg = replace(cfg, z0=z0)
-            state, _ = encode_sample(y, decoder, sample_cfg, kind)
-            calls += state.model_calls
-            total += reconstruction_loss(
-                y, dc.constant(state.z), decoder, kind).item()
-            calls += 1
+    for i in range(n):
+        y = ds.images[i]
+        z, c = eval_latent(y, decoder, mode, cfg, encoder, kind,
+                           warm_start_encoder)
+        total += loss_value(reconstruction_objective(y, decoder, kind), z,
+                            TrainDivergedError)
+        calls += c + 1
     return total / n, calls
 
 
@@ -385,8 +391,9 @@ def train_gfe(train: Dataset, val: Dataset, decoder: DecoderParams,
             gs, c = grad_theta_approximate(y, state.z, decoder, kind)
         else:
             gs, c = grad_theta_full_adjoint(y, trace, decoder, cfg, kind)
-        loss = reconstruction_loss(y, dc.constant(state.z), decoder, kind)
-        return gs, loss.item(), state.model_calls + c + 1
+        loss = loss_value(reconstruction_objective(y, decoder, kind), state.z,
+                          TrainDivergedError)
+        return gs, loss, state.model_calls + c + 1
 
     return _train(train, val, decoder, None, cfg, kind, opt, schedule, rng,
                   sample_grad)

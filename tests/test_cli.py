@@ -173,6 +173,49 @@ class TestDumpRecons:
         header = pgms[0].read_bytes()[:15]
         assert header.startswith(b"P5\n28 28\n255\n")
 
+    def test_ae_encoder_mode_without_encoder_fails_cleanly(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "run"
+        assert run_cli(["train", "--method", "gfe-amd", "--seed", "4",
+                        "--out", out] + FAST) == 0
+        capsys.readouterr()
+        rc = run_cli(["dump-recons", "--checkpoint", out / "checkpoint.npz",
+                      "--mode", "ae-encoder", "-n", "2",
+                      "--out", tmp_path / "recs"] + FAST)
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_warm_start_flag_starts_flow_at_encoder_latent(self, tmp_path):
+        out = tmp_path / "ae"
+        assert run_cli(["train", "--method", "ae", "--seed", "2",
+                        "--out", out] + FAST) == 0
+        for name, flags in (("cold", []), ("warm", ["--warm-start"])):
+            assert run_cli(["dump-recons", "--checkpoint",
+                            out / "checkpoint.npz", "--mode", "gfe-flow",
+                            "-n", "4", "--out", tmp_path / name]
+                           + flags + FAST) == 0
+        # Reconstructions by hand from the warm-started flow.
+        from dataclasses import replace
+        from flowenc import diffcore as dc
+        from flowenc import flow as fl
+        dec, enc, _ = md.load_checkpoint(out / "checkpoint.npz")
+        cfg = cli.ExperimentConfig()   # FAST changes no eval setting
+        _, _, test = cli.load_splits(cfg)
+        flow_cfg = cfg.flow_config(for_eval=True)
+        differs = False
+        for i in range(4):
+            y = test.images[i]
+            z0 = md.encode(dc.constant(y), enc).data
+            state, _ = fl.encode_sample(y, dec, replace(flow_cfg, z0=z0))
+            cli.write_pgm(tmp_path / "expected.pgm",
+                          md.decode(dc.constant(state.z), dec).data)
+            name = f"recon_{i:03d}_out.pgm"
+            warm = (tmp_path / "warm" / name).read_bytes()
+            assert warm == (tmp_path / "expected.pgm").read_bytes()
+            differs |= warm != (tmp_path / "cold" / name).read_bytes()
+        assert differs
+
     def test_pgm_values_in_byte_range(self, tmp_path):
         path = tmp_path / "img.pgm"
         cli.write_pgm(path, np.linspace(0, 1, 784))

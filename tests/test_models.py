@@ -220,3 +220,14 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="dec_w1"):
             md.load_checkpoint(path)
+
+    def test_non_finite_array_is_a_value_error(self, tmp_path):
+        dec = md.init_decoder([4, 8, 16], np.random.default_rng(23))
+        path = tmp_path / "d.npz"
+        md.save_checkpoint(path, dec)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["dec_w1"][0, 0] = np.nan
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="dec_w1"):
+            md.load_checkpoint(path)

@@ -457,6 +457,23 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             tr.evaluate(empty, dec, tr.EvalMode.GFE_FLOW)
 
+    def test_overflowing_encoder_is_typed(self):
+        # Encoder weights x1e200 overflow in its second layer; evaluate
+        # reports that as a training divergence, in both modes that run it.
+        dec = small_decoder(seed=1)
+        enc = md.init_encoder(dec, np.random.default_rng(2))
+        big = md.EncoderParams([Tensor(w.data * 1e200, requires_grad=True)
+                                for w in enc.weights],
+                               enc.biases, enc.widths, "identity")
+        images = np.random.default_rng(3).uniform(0.1, 0.9, size=(3, 16))
+        ds = dd.Dataset(images, np.zeros(3, dtype=np.uint8))
+        with pytest.raises(tr.TrainDivergedError):
+            tr.evaluate(ds, dec, tr.EvalMode.AE_ENCODER, encoder=big)
+        with pytest.raises(tr.TrainDivergedError):
+            tr.evaluate(ds, dec, tr.EvalMode.GFE_FLOW,
+                        cfg=fl.FlowConfig(tau=5.0), encoder=big,
+                        warm_start_encoder=True)
+
     def test_checkpoint_round_trip_preserves_evaluation(self, tmp_path):
         _, _, test, dec, enc, _ = self._trained_ae()
         before, _ = tr.evaluate(test, dec, tr.EvalMode.AE_ENCODER,
