@@ -110,6 +110,13 @@ def cases(fe):
                 out.append((f"flow/{solver.value}/{alpha.value}/tau{tau:g}-n{n}",
                             lambda cfg=cfg: fl.encode_sample(y, trained, cfg)))
 
+    # With no early stop these end on a step clamped to tau; at tau 0.8 and
+    # 4 a clamped candidate is also rejected before a beta^m * s step.
+    for tau in (0.8, 3.0, 4.0):
+        cfg = fl.FlowConfig(tau=tau, solver=amd, early_stop_tol=0.0)
+        out.append((f"flow/amd/to-tau/tau{tau:g}",
+                    lambda cfg=cfg: fl.encode_sample(y, trained, cfg)))
+
     def full_adjoint(cfg):
         state, trace = fl.encode_sample(y, trained, cfg)
         return state, trace, tr.grad_theta_full_adjoint(y, trace, trained, cfg)

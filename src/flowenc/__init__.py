@@ -12,9 +12,8 @@ from .flow import (AlphaSchedule, FlowConfig, FlowDivergedError, FlowState,
 from .training import (AdjointMode, EvalMode, OptimizerKind, OptimizerState,
                        TrainReport, TrainSchedule, adam_state, evaluate,
                        grad_theta_approximate, grad_theta_full_adjoint,
-                       optimizer_step, rmsprop_state, schedule_preset,
-                       train_ae, train_gfe)
+                       optimizer_step, rmsprop_state, train_ae, train_gfe)
 from .data import (Dataset, SamplerState, load_idx, make_linear_oracle,
-                   sample_batch, seg_split, synth_digits, write_idx)
+                   seg_split, synth_digits, write_idx)
 
 __version__ = "0.1.0"

@@ -172,6 +172,10 @@ def cmd_train(args) -> int:
     if cfg.method == "gfe-nesterov" and cfg.adjoint == "full":
         raise ValueError("--adjoint full is not implemented for gfe-nesterov; "
                          "use --adjoint approx")
+    schedule = tr.TrainSchedule(iterations=cfg.iterations,
+                                batch_size=cfg.batch_size,
+                                validate_every=cfg.validate_every,
+                                val_size=cfg.val_size)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_config(out / "config.txt", cfg)
@@ -181,10 +185,6 @@ def cmd_train(args) -> int:
     rng_master = np.random.default_rng(cfg.seed)
     init_rng, sample_rng = rng_master.spawn(2)
     decoder, encoder = _init_models(cfg, init_rng)
-    schedule = tr.TrainSchedule(iterations=cfg.iterations,
-                                batch_size=cfg.batch_size,
-                                validate_every=cfg.validate_every,
-                                val_size=cfg.val_size)
     kind = cfg.loss_kind()
     if cfg.method == "ae":
         opt = _optimizer(cfg, encoder.tensors() + decoder.tensors())
@@ -290,10 +290,13 @@ def cmd_dump_recons(args) -> int:
     decoder, encoder, _ = md.load_checkpoint(args.checkpoint)
     _, _, test = load_splits(cfg)
     mode = tr.EvalMode(args.mode)
+    n = args.n
+    if not 0 <= n <= len(test):
+        raise ValueError(f"-n must be in 0..{len(test)} (the test split's "
+                         f"size), got {n}")
     outdir = Path(args.out or "recons")
     outdir.mkdir(parents=True, exist_ok=True)
     index = []
-    n = args.n
     flow_cfg = cfg.flow_config(for_eval=True)
     for i in range(n):
         y = test.images[i]

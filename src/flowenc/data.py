@@ -36,12 +36,11 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.images)
 
-    def subset(self, k: int, split: str | None = None) -> "Dataset":
+    def subset(self, k: int) -> "Dataset":
         """First k images, deterministic (small-training-set protocol)."""
         if not (0 < k <= len(self)):
             raise ValueError(f"subset size {k} out of range 1..{len(self)}")
-        return Dataset(self.images[:k], self.labels[:k], self.name,
-                       split or self.split)
+        return Dataset(self.images[:k], self.labels[:k], self.name, self.split)
 
 
 def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
@@ -128,11 +127,6 @@ class SamplerState:
         idx = self.rng.integers(0, n, size=self.batch_size)
         self.draws += self.batch_size
         return idx
-
-
-def sample_batch(ds: Dataset, sampler: SamplerState) -> np.ndarray:
-    """Indices of one with-replacement mini-batch."""
-    return sampler.sample(len(ds))
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +239,20 @@ def _densify(poly: np.ndarray, step: float = 0.035) -> np.ndarray:
 _SYNTH_CACHE: dict[tuple, "Dataset"] = {}
 
 
-def synth_digits(n: int, seed: int, side: int = 28,
-                 name: str = "synth") -> Dataset:
-    """Deterministic synthetic digit images, labels uniform over 0-9.
+def synth_digits(n: int, seed: int) -> Dataset:
+    """Deterministic synthetic 28x28 digit images, labels uniform over 0-9.
 
     Per-sample variation: rotation, anisotropic scale, shear, translation,
     per-vertex skeleton jitter, stroke width, and intensity gain.
-    Generation is memoized per (n, seed, side); the returned dataset is
-    shared, so treat it as read-only (datasets are immutable by contract).
+    Generation is memoized per (n, seed); the returned dataset is shared,
+    so treat it as read-only (datasets are immutable by contract).
     """
     if n <= 0:
         raise ValueError("need n > 0 images")
-    key = (n, seed, side, name)
-    cached = _SYNTH_CACHE.get(key)
+    cached = _SYNTH_CACHE.get((n, seed))
     if cached is not None:
         return cached
+    side = 28
     rng = np.random.default_rng(seed)
     xs = (np.arange(side) + 0.5) / side
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
@@ -284,6 +277,6 @@ def synth_digits(n: int, seed: int, side: int = 28,
             pts = (pts - 0.5) @ aff.T + 0.5 + shift
             img = np.maximum(img, _render(pts, sigma, grid))
         images[i] = np.clip(img * gain, 0.0, 1.0)
-    ds = Dataset(images, labels, name=name)
-    _SYNTH_CACHE[key] = ds
+    ds = Dataset(images, labels, name="synth")
+    _SYNTH_CACHE[(n, seed)] = ds
     return ds

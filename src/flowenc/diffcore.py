@@ -66,27 +66,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; all routed through the module-level primitives.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Node:
     """One recorded primitive: output, parents, and its backward rule.
@@ -135,9 +114,9 @@ def active_tape() -> Tape | None:
 
 
 @contextmanager
-def recording(tape: Tape | None = None):
+def recording():
     """Open a tape; ops on tensors requiring grad are recorded until exit."""
-    tape = tape if tape is not None else Tape()
+    tape = Tape()
     stack = _tape_stack()
     stack.append(tape)
     try:

@@ -31,7 +31,7 @@ import csv
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -218,10 +218,8 @@ def _diverged_at(t: float) -> ErrorFactory:
 
 def reconstruction_objective(y, decoder: DecoderParams,
                              kind: LossKind = LossKind.CROSS_ENTROPY) -> Objective:
-    yd = np.asarray(y.data if isinstance(y, Tensor) else y, dtype=np.float64)
-
     def objective(z: Tensor) -> Tensor:
-        return reconstruction_loss(yd, z, decoder, kind)
+        return reconstruction_loss(y, z, decoder, kind)
 
     return objective
 
@@ -309,15 +307,28 @@ def integrate_nesterov(objective: Objective, z0: np.ndarray,
 _GRAD_FLOOR = 1e-15
 
 
+def _trial_steps(s: float, beta: float, remaining: float) -> Iterator[float]:
+    """AMD's candidate steps, in trial order: ``remaining`` first if s
+    overshoots it, then beta^m * s for m = 0..BACKTRACK_CAP within it."""
+    if s > remaining:
+        yield remaining
+    for m in range(BACKTRACK_CAP + 1):
+        dt = beta ** m * s
+        if dt <= remaining:
+            yield dt
+
+
 def integrate_amd(objective: Objective, z0: np.ndarray,
                   cfg: FlowConfig) -> tuple[FlowState, FlowTrace]:
     """Backtracking explicit steps; every accepted step strictly lowers l.
 
-    Candidate steps are dt = beta^m * s_n with the smallest accepting m;
-    s_n follows s_n = min(max(kappa*s_{n-1}, s0), s_max).  Alpha is fixed
-    to 1 (the step size takes over its role).  Stops at tau, on relative
-    improvement below early_stop_tol, or with ``stalled`` set when
-    backtracking exhausts (converged to machine precision).
+    The step is the first candidate that lowers l: tau - t if s_n
+    overshoots it, then dt = beta^m * s_n (m = 0..BACKTRACK_CAP) for those
+    that stay within tau - t; s_n follows
+    s_n = min(max(kappa*s_{n-1}, s0), s_max).  Alpha is fixed to 1 (the step
+    size takes over its role).  Stops at tau, on relative improvement below
+    early_stop_tol, or with ``stalled`` set when no candidate lowers l
+    (converged to machine precision).
     """
     state = FlowState(z=np.array(z0, dtype=np.float64))
     trace = FlowTrace(solver=SolverKind.AMD)
@@ -333,26 +344,13 @@ def integrate_amd(objective: Objective, z0: np.ndarray,
             state.early_stopped = True
             break
 
-        accepted = False
-        m = 0
-        remaining = cfg.tau - t
-        while m <= BACKTRACK_CAP:
-            dt = (cfg.beta ** m) * s
-            clamped = dt > remaining
-            if clamped:
-                dt = remaining
+        for dt in _trial_steps(s, cfg.beta, cfg.tau - t):
             z_try = z - dt * g
             l_try = loss_value(objective, z_try, _diverged_at(t + dt))
             state.model_calls += 1
             if l_try < l_cur:
-                accepted = True
                 break
-            if clamped:
-                # Same clamped dt would repeat; jump to the first m below it.
-                while (cfg.beta ** (m + 1)) * s > remaining and m <= BACKTRACK_CAP:
-                    m += 1
-            m += 1
-        if not accepted:
+        else:
             state.stalled = True
             break
 

@@ -222,10 +222,8 @@ def reconstruction_loss(y, z: Tensor, decoder: DecoderParams,
     if kind == LossKind.CROSS_ENTROPY:
         if decoder.output_mode != "sigmoid":
             raise ValueError("cross-entropy needs a sigmoid-output decoder")
-        logits = decode_logits(z, decoder)
-        ydata = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
-        return dc.bce_with_logits(logits, ydata)
-    return loss(dc._as_tensor(y), decode(z, decoder), LossKind.L2)
+        return dc.bce_with_logits(decode_logits(z, decoder), y)
+    return loss(y, decode(z, decoder), LossKind.L2)
 
 
 # ---------------------------------------------------------------------------

@@ -218,15 +218,13 @@ class TrainSchedule:
     val_size: int = 64
     divergence_factor: float = 10.0
 
-
-def schedule_preset(name: str, n_train: int, batch_size: int = 32
-                    ) -> TrainSchedule:
-    """'paper-gfe' trains one epoch; 'paper-ae' trains twelve."""
-    epochs = {"paper-gfe": 1, "paper-ae": 12}.get(name)
-    if epochs is None:
-        raise ValueError(f"unknown schedule preset {name!r}")
-    iters = max(1, (epochs * n_train) // batch_size)
-    return TrainSchedule(iterations=iters, batch_size=batch_size)
+    def __post_init__(self):
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        for name in ("batch_size", "validate_every", "val_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -292,12 +290,14 @@ def evaluate(ds: Dataset, decoder: DecoderParams, mode: EvalMode,
 
     Each image is encoded by :func:`eval_latent`, and its loss costs one
     more model call.  A non-finite encoder output or loss raises
-    ``TrainDivergedError``; a diverging flow, ``FlowDivergedError``.
+    ``TrainDivergedError``; a diverging flow, ``FlowDivergedError``; an
+    empty split or a ``limit`` below 1, ``ValueError``.
     """
-    if len(ds) == 0:
-        raise ValueError("evaluate: empty split")
-    cfg = cfg if cfg is not None else FlowConfig()
     n = len(ds) if limit is None else min(limit, len(ds))
+    if n < 1:
+        raise ValueError(f"evaluate: empty selection ({len(ds)} images in "
+                         f"the split, limit {limit})")
+    cfg = cfg if cfg is not None else FlowConfig()
     calls = 0
     total = 0.0
     for i in range(n):

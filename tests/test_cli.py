@@ -104,6 +104,16 @@ class TestTrain:
         assert "gfe-nesterov" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_malformed_schedule_fails_before_writing(self, tmp_path, capsys):
+        for flag, value in (("--batch-size", 0), ("--validate-every", 0),
+                            ("--val-size", 0), ("--iterations", -1)):
+            out = tmp_path / "run"
+            rc = run_cli(["train", "--out", out] + FAST + [flag, value])
+            assert rc == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), flag
+            assert not out.exists()
+
     def test_seg_flag_restricts_labels(self):
         cfg = cli.ExperimentConfig(seg=True, subset=50)
         train, val, test = cli.load_splits(cfg)
@@ -185,6 +195,19 @@ class TestDumpRecons:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_count_outside_test_split_fails_before_writing(self, tmp_path,
+                                                           capsys):
+        ckpt = tmp_path / "d.npz"
+        md.save_checkpoint(ckpt, md.init_decoder([8, 16, 784]))
+        for n in (1001, -3):  # the synth test split holds 1,000 images
+            recs = tmp_path / "recs"
+            rc = run_cli(["dump-recons", "--checkpoint", ckpt, "-n", n,
+                          "--out", recs] + FAST)
+            assert rc == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), n
+            assert not recs.exists()
 
     def test_warm_start_flag_starts_flow_at_encoder_latent(self, tmp_path):
         out = tmp_path / "ae"

@@ -117,15 +117,15 @@ class TestSampler:
         a = dd.SamplerState(np.random.default_rng(9), batch_size=8)
         b = dd.SamplerState(np.random.default_rng(9), batch_size=8)
         for _ in range(5):
-            np.testing.assert_array_equal(dd.sample_batch(ds, a),
-                                          dd.sample_batch(ds, b))
+            np.testing.assert_array_equal(a.sample(len(ds)),
+                                          b.sample(len(ds)))
 
     def test_uniformity_within_five_sigma(self):
         ds = dd.Dataset(np.zeros((10, 4)), np.zeros(10, dtype=np.uint8))
         sampler = dd.SamplerState(np.random.default_rng(123), batch_size=1000)
         counts = np.zeros(10)
         for _ in range(100):
-            idx = dd.sample_batch(ds, sampler)
+            idx = sampler.sample(len(ds))
             counts += np.bincount(idx, minlength=10)
         n_draws = 100_000
         expect = n_draws / 10
@@ -137,7 +137,7 @@ class TestSampler:
         ds = dd.synth_digits(600, seed=2).subset(480)
         sampler = dd.SamplerState(np.random.default_rng(0), batch_size=64)
         for _ in range(50):
-            idx = dd.sample_batch(ds, sampler)
+            idx = sampler.sample(len(ds))
             assert idx.max() < 480
 
     def test_empty_dataset_rejected(self):

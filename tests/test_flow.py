@@ -202,6 +202,19 @@ class TestAMD:
         assert state.t <= 8.0 + 1e-12
         assert state.t == pytest.approx(8.0, abs=1e-12)  # reaches tau exactly
 
+    def test_clamped_candidate_comes_first(self):
+        # l = 5(z-1)^2 from z0 = 0, tau = 0.5.  Steps 1 and 2 overshoot
+        # tau - t: that candidate is tried first and rejected, then beta^m * s
+        # for the m whose step fits, until beta^6 * s is accepted.  Step 3
+        # accepts its first candidate, tau - t, and ends exactly at tau.
+        state, trace = fl.integrate_amd(
+            quad_objective(np.array([1.0]), curv=10.0), np.zeros(1),
+            fl.FlowConfig(tau=0.5, solver=fl.SolverKind.AMD,
+                          early_stop_tol=0.0))
+        assert trace.dts == [0.75 ** 6, 1.1 * 0.75 ** 6, 0.5 - trace.ts[2]]
+        assert state.t == 0.5
+        assert state.model_calls == 12  # 3 gradients; 5 + 3 + 1 trials
+
     def test_early_stop_on_relative_improvement(self):
         # Near-flat quadratic around the start: tiny relative improvements.
         state, _ = fl.integrate_amd(

@@ -402,13 +402,12 @@ class TestTrainLoops:
             tr.train_gfe(train, val, dec, cfg, tr.AdjointMode.APPROXIMATE,
                          opt, sched, np.random.default_rng(0))
 
-    def test_schedule_presets(self):
-        gfe = tr.schedule_preset("paper-gfe", n_train=60000, batch_size=32)
-        ae = tr.schedule_preset("paper-ae", n_train=60000, batch_size=32)
-        assert gfe.iterations == 1875
-        assert ae.iterations == 12 * 1875
-        with pytest.raises(ValueError):
-            tr.schedule_preset("nope", 100)
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", -1), ("batch_size", 0), ("validate_every", 0),
+        ("val_size", 0)])
+    def test_malformed_schedule_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tr.TrainSchedule(**{"iterations": 1, field: value})
 
 
 class TestEvaluate:
@@ -456,6 +455,12 @@ class TestEvaluate:
         empty = dd.Dataset(np.zeros((0, 16)), np.zeros(0, dtype=np.uint8))
         with pytest.raises(ValueError, match="empty"):
             tr.evaluate(empty, dec, tr.EvalMode.GFE_FLOW)
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_rejected(self, limit):
+        ds = dd.Dataset(np.full((2, 16), 0.5), np.zeros(2, dtype=np.uint8))
+        with pytest.raises(ValueError, match="empty"):
+            tr.evaluate(ds, small_decoder(), tr.EvalMode.GFE_FLOW, limit=limit)
 
     def test_overflowing_encoder_is_typed(self):
         # Encoder weights x1e200 overflow in its second layer; evaluate
