@@ -134,6 +134,29 @@ def cases(fe):
                                         early_stop_tol=1e-2))]:
         out.append((f"full-adjoint/{name}", lambda cfg=cfg: full_adjoint(cfg)))
 
+    # L2: criterion 1's one-layer identity decoder through each solver, and
+    # the trained sigmoid decoder through AMD with both parameter gradients.
+    l2 = md.LossKind.L2
+    oracle = dd.make_linear_oracle(4, 8, seed=42)
+    linear = md.DecoderParams([fe.diffcore.Tensor(oracle.A, requires_grad=True)],
+                              [fe.diffcore.Tensor(oracle.b, requires_grad=True)],
+                              [4, 8], output_mode="identity")
+    for name, cfg in [
+            ("rk4", fl.FlowConfig(tau=20.0, solver=rk4, n_slices=200)),
+            ("nesterov", fl.FlowConfig(tau=300.0, solver=nes, n_slices=1500)),
+            ("amd", fl.FlowConfig(tau=20.0, solver=amd, early_stop_tol=0.0))]:
+        out.append((f"l2/identity/{name}", lambda cfg=cfg: fl.encode_sample(
+            oracle.ys[0], linear, cfg, l2)))
+
+    def l2_sigmoid_amd():
+        cfg = fl.FlowConfig(tau=20.0, solver=amd, early_stop_tol=1e-2)
+        state, trace = fl.encode_sample(y, trained, cfg, l2)
+        return (state, trace,
+                tr.grad_theta_approximate(y, state.z, trained, l2),
+                tr.grad_theta_full_adjoint(y, trace, trained, cfg, l2))
+
+    out.append(("l2/sigmoid/amd-approx-full", l2_sigmoid_amd))
+
     eval_cfg = fl.FlowConfig(tau=100.0, solver=amd, early_stop_tol=1e-4)
     out.append(("evaluate/ae-encoder", lambda: tr.evaluate(
         test, ae_dec, tr.EvalMode.AE_ENCODER, encoder=ae_enc, limit=4)))
