@@ -250,15 +250,10 @@ def _read_val_rows(run_dir: Path) -> dict[int, float]:
 
 def cmd_compare(args) -> int:
     a, b = Path(args.run_a), Path(args.run_b)
-    try:
-        rows_a, rows_b = _read_val_rows(a), _read_val_rows(b)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    rows_a, rows_b = _read_val_rows(a), _read_val_rows(b)
     shared = sorted(set(rows_a) & set(rows_b))
     if not shared:
-        print("runs share no images-seen checkpoints", file=sys.stderr)
-        return 1
+        raise ValueError("runs share no images-seen checkpoints")
     name_a, name_b = a.name or "A", b.name or "B"
     print(f"{'images_seen':>12} {name_a:>12} {name_b:>12} {'lower':>8}")
     out_rows = []
@@ -277,11 +272,11 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def write_pgm(path, image: np.ndarray, side: int = 28) -> None:
-    """Binary PGM (P5), 8-bit, from a [0,1] float image."""
-    img = np.clip(np.round(image.reshape(side, side) * 255.0), 0, 255)
+def write_pgm(path, image: np.ndarray) -> None:
+    """Binary 28x28 PGM (P5), 8-bit, from a [0,1] float image."""
+    img = np.clip(np.round(image.reshape(28, 28) * 255.0), 0, 255)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{side} {side}\n255\n".encode())
+        fh.write(b"P5\n28 28\n255\n")
         fh.write(img.astype(np.uint8).tobytes())
 
 

@@ -161,10 +161,24 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "lower" in out and ("a" in out or "b" in out)
 
-    def test_missing_run_errors(self, tmp_path):
+    def test_missing_run_errors(self, tmp_path, capsys):
         rc = run_cli(["compare", "--run-a", tmp_path / "ghost",
                       "--run-b", tmp_path / "ghost2"])
         assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: missing metrics")
+
+    def test_disjoint_runs_error(self, tmp_path, capsys):
+        for name, seen in (("a", 32), ("b", 64)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "metrics.csv").write_text(
+                "wall_ms,iteration,images_seen,split,loss,model_calls\n"
+                f"1.0,1,{seen},val,0.5,10\n")
+        rc = run_cli(["compare", "--run-a", tmp_path / "a",
+                      "--run-b", tmp_path / "b"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: runs share no images-seen checkpoints"]
 
 
 class TestDumpRecons:
