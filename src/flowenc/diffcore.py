@@ -8,10 +8,11 @@ second-order quantities the backward flow integration needs.
 
 Tapes are explicit and caller-owned: ops record onto the innermost active
 ``recording()`` context, and differentiating requires that context to still
-be open.  Each flow step or training sample opens its own short-lived tape,
-which bounds memory.  A tape's nodes point at their tensors but no tensor
-points back at its node, so a closed tape is freed by reference counting
-alone.
+be open.  Each taped evaluation (a second-order sweep, or a first-order one
+that has no closed-form kernel in ``models``) opens its own short-lived
+tape, which bounds memory.  A tape's nodes point at their tensors but no
+tensor points back at its node, so a closed tape is freed by reference
+counting alone.
 """
 
 from __future__ import annotations
@@ -344,12 +345,32 @@ def log(a) -> Tensor:
                    lambda g, needs: (div(g, a) if needs[0] else None,))
 
 
+# The array forms of the nonlinear ops.  The closed-form kernels in
+# ``models`` call these same functions, so kernel and tape agree bit for bit.
+
+def sigmoid_values(x: np.ndarray) -> np.ndarray:
+    """Two-branch logistic sigmoid; never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def elu_values(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def elu_slope(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+
+
+def bce_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-element binary cross-entropy of logits x against targets y, in
+    the form max(x,0) - x*y + log1p(exp(-|x|)) that never overflows."""
+    return np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    x = a.data
-    e = np.exp(-np.abs(x))
-    val = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = _record("sigmoid", val, (a,), lambda g, needs: (
+    out = _record("sigmoid", sigmoid_values(a.data), (a,), lambda g, needs: (
         mul(g, mul(out, add_scalar(neg(out), 1.0))) if needs[0] else None,))
     return out
 
@@ -357,16 +378,14 @@ def sigmoid(a) -> Tensor:
 def elu(a) -> Tensor:
     """ELU with unit scale: x for x > 0, exp(x) - 1 otherwise."""
     a = _as_tensor(a)
-    x = a.data
-    val = np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
-    return _record("elu", val, (a,), lambda g, needs: (
+    return _record("elu", elu_values(a.data), (a,), lambda g, needs: (
         mul(g, _elu_prime(a)) if needs[0] else None,))
 
 
 def _elu_prime(a: Tensor) -> Tensor:
     """d elu / dx.  Differentiable once more; third order is cut off."""
     x = a.data
-    val = np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+    val = elu_slope(x)
 
     def vjp(g, needs):
         if not needs[0]:
@@ -394,12 +413,9 @@ def select(mask, a, b) -> Tensor:
 
 
 def bce_with_logits(logits, targets) -> Tensor:
-    """Mean binary cross-entropy over elements, computed in logit space.
-
-    ``targets`` must lie in [0, 1] and is treated as a constant.  Uses the
-    log-sum-exp form max(x,0) - x*y + log1p(exp(-|x|)) so large logits never
-    overflow.
-    """
+    """Mean binary cross-entropy over elements, computed in logit space
+    (:func:`bce_values`).  ``targets`` must lie in [0, 1] and is treated as
+    a constant."""
     a = _as_tensor(logits)
     y = np.asarray(targets.data if isinstance(targets, Tensor) else targets,
                    dtype=np.float64)
@@ -407,9 +423,7 @@ def bce_with_logits(logits, targets) -> Tensor:
         raise ShapeError(f"bce_with_logits: logits {a.shape} vs targets {y.shape}")
     if np.any(y < 0.0) or np.any(y > 1.0):
         raise ValueError("bce_with_logits: targets must lie in [0, 1]")
-    x = a.data
-    per_elem = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
-    val = np.asarray(per_elem.mean())
+    val = np.asarray(bce_values(a.data, y).mean())
     n = a.size
     y_const = constant(y)
 

@@ -17,12 +17,15 @@ Solvers are pure: given (sample, parameters, config) they always produce
 the same trajectory.  Every decoder evaluation is counted in
 ``FlowState.model_calls``.
 
-Every taped evaluation of an objective, here and in ``training``, and
-every untaped forward pass there and in ``cli``, goes through the
-tape-boundary helpers below (:func:`forward_value`, :func:`loss_value`,
-:func:`value_and_grad`, :func:`hvp_at`, :func:`mixed_vjp_at`).  They open
-the tape where one is needed and turn diffcore's ``NonFiniteError`` into
-the caller's typed error.
+Every evaluation of an objective, here and in ``training``, and every
+untaped forward pass there and in ``cli``, goes through the tape-boundary
+helpers below (:func:`forward_value`, :func:`loss_value`,
+:func:`value_and_grad`, :func:`hvp_at`, :func:`mixed_vjp_at`).  They turn
+``NonFiniteError`` into the caller's typed error.  :func:`loss_value` and
+:func:`value_and_grad` serve a :class:`ReconstructionObjective` from the
+closed-form kernel in ``models`` when the requested parameters are none or
+exactly the decoder's tensors; every other request, and the second-order
+helpers, open a diffcore tape.  Kernel and tape give the same bits.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .models import DecoderParams, LossKind, reconstruction_loss
+from .models import (DecoderParams, LossKind, reconstruction_grads,
+                     reconstruction_loss, reconstruction_target)
 
 
 class SolverKind(Enum):
@@ -152,7 +156,7 @@ def _alpha_fn(cfg: FlowConfig) -> Callable[[float], float]:
 
 
 # ---------------------------------------------------------------------------
-# Tape boundary: the only place objectives are taped and differentiated.
+# Tape boundary: the only place objectives are evaluated and differentiated.
 # ``error`` maps diffcore's message to the caller's typed exception.
 # ---------------------------------------------------------------------------
 
@@ -176,9 +180,25 @@ def forward_value(fn: Callable[[Tensor], Tensor], x: np.ndarray,
         return fn(dc.constant(x)).data
 
 
+def _has_kernel(objective: Objective, params: Sequence[Tensor]) -> bool:
+    """Whether the objective's closed-form kernel serves a request for
+    ``params``: a reconstruction objective, and either no parameters or
+    exactly its decoder's tensors, in order."""
+    if not isinstance(objective, ReconstructionObjective):
+        return False
+    if not params:
+        return True
+    own = objective.decoder.tensors()
+    return len(params) == len(own) and all(p is q
+                                           for p, q in zip(params, own))
+
+
 def loss_value(objective: Objective, x: np.ndarray,
                error: ErrorFactory) -> float:
     """objective(x) as a float, with x held constant; no tape is opened."""
+    if _has_kernel(objective, ()):
+        with _nonfinite_as(error, taped=False):
+            return objective.kernel(x, False, False)[0]
     return forward_value(objective, x, error).item()
 
 
@@ -186,7 +206,11 @@ def value_and_grad(objective: Objective, x: np.ndarray,
                    params: Sequence[Tensor], error: ErrorFactory,
                    wrt_x: bool = True) -> tuple[float, list[np.ndarray]]:
     """objective(x) and its gradients: w.r.t. x (first, unless ``wrt_x`` is
-    false) and then each of ``params``, all from one taped evaluation."""
+    false) and then each of ``params``, all from one evaluation: the
+    objective's kernel where it has one for ``params``, else the tape."""
+    if _has_kernel(objective, params):
+        with _nonfinite_as(error, taped=False):
+            return objective.kernel(x, wrt_x, bool(params))
     with _nonfinite_as(error):
         xt = Tensor(x, requires_grad=wrt_x)
         loss = objective(xt)
@@ -216,12 +240,33 @@ def _diverged_at(t: float) -> ErrorFactory:
     return lambda _: FlowDivergedError(t, float("nan"))
 
 
-def reconstruction_objective(y, decoder: DecoderParams,
-                             kind: LossKind = LossKind.CROSS_ENTROPY) -> Objective:
-    def objective(z: Tensor) -> Tensor:
-        return reconstruction_loss(y, z, decoder, kind)
+class ReconstructionObjective:
+    """z -> l(y, D(z)) under the decoder's current parameters.
 
-    return objective
+    Called on a Tensor it builds the taped loss, for the second-order
+    helpers; :meth:`kernel` is the closed-form first-order path that
+    :func:`loss_value` and :func:`value_and_grad` take instead of the tape.
+    The target is validated once, here.
+    """
+
+    def __init__(self, y, decoder: DecoderParams, kind: LossKind):
+        self.y = reconstruction_target(y, decoder, kind)
+        self.decoder = decoder
+        self.kind = kind
+
+    def __call__(self, z: Tensor) -> Tensor:
+        return reconstruction_loss(self.y, z, self.decoder, self.kind)
+
+    def kernel(self, z: np.ndarray, wrt_z: bool, wrt_theta: bool
+               ) -> tuple[float, list[np.ndarray]]:
+        return reconstruction_grads(self.y, z, self.decoder, self.kind,
+                                    wrt_z, wrt_theta)
+
+
+def reconstruction_objective(y, decoder: DecoderParams,
+                             kind: LossKind = LossKind.CROSS_ENTROPY
+                             ) -> ReconstructionObjective:
+    return ReconstructionObjective(y, decoder, kind)
 
 
 def _default_z0(cfg: FlowConfig, dim: int) -> np.ndarray:

@@ -212,6 +212,89 @@ def loss(y: Tensor, yhat: Tensor, kind: LossKind) -> Tensor:
     return dc.neg(dc.tmean(ll))
 
 
+def reconstruction_target(y, decoder: DecoderParams,
+                          kind: LossKind) -> np.ndarray:
+    """y as a float64 array, checked once against ``decoder`` and ``kind``.
+
+    A target with other than one value per decoder output raises
+    ``ShapeError``.  Cross-entropy also needs a sigmoid-output decoder and
+    targets in [0, 1], else ``ValueError``.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (decoder.output_dim,):
+        raise dc.ShapeError(
+            f"target {y.shape} vs decoder output ({decoder.output_dim},)")
+    if kind == LossKind.CROSS_ENTROPY:
+        if decoder.output_mode != "sigmoid":
+            raise ValueError("cross-entropy needs a sigmoid-output decoder")
+        if np.any(y < 0.0) or np.any(y > 1.0):
+            raise ValueError("cross-entropy targets must lie in [0, 1]")
+    return y
+
+
+def reconstruction_grads(y: np.ndarray, z, decoder: DecoderParams,
+                         kind: LossKind, wrt_z: bool, wrt_theta: bool
+                         ) -> tuple[float, list[np.ndarray]]:
+    """reconstruction_loss(y, z) and its first-order gradients, in closed form.
+
+    Returns the value and, from the same forward pass, the gradient w.r.t. z
+    (if ``wrt_z``) followed by one gradient per tensor of
+    ``decoder.tensors()`` (if ``wrt_theta``).  ``y`` comes from
+    :func:`reconstruction_target`.  The numpy operations and their order are
+    the tape's, so values and gradients equal diffcore's bit for bit, and so
+    do the errors: ``ShapeError`` for a latent of the wrong shape,
+    ``NonFiniteError`` for a non-finite latent, pre-activation, value or
+    gradient.  Every pre-activation is checked because ELU maps -inf to -1.
+    """
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    dc._check_finite(z, "tensor")
+    if z.shape != (decoder.latent_dim,):
+        raise dc.ShapeError(
+            f"decode: latent {z.shape} vs expected ({decoder.latent_dim},)")
+    last = decoder.n_layers - 1
+    h, inputs, pre = z, [], []
+    for i, (w, b) in enumerate(zip(decoder.weights, decoder.biases)):
+        inputs.append(h)
+        a = w.data @ h + b.data
+        dc._check_finite(a, "affine")
+        if i < last:
+            pre.append(a)
+            h = dc.elu_values(a)
+
+    # ``a`` now holds the logits; g below is d value / d logits.
+    ce = kind == LossKind.CROSS_ENTROPY
+    squash = decoder.output_mode == "sigmoid"
+    if ce:
+        value = dc.bce_values(a, y).mean()
+    else:
+        out = dc.sigmoid_values(a) if squash else a
+        d = out - y
+        value = np.dot(d, d)
+    dc._check_finite(value, "loss")
+    if not (wrt_z or wrt_theta):
+        return value.item(), []
+    if ce:
+        g = (dc.sigmoid_values(a) - y) * (1.0 / a.size)
+    else:
+        g = d + d
+        if squash:
+            g = g * (out * (-out + 1.0))
+
+    theta_grads = []
+    for i in range(last, -1, -1):
+        if wrt_theta:
+            theta_grads += [g, np.outer(g, inputs[i])]
+        if i == 0 and not wrt_z:
+            break
+        g = decoder.weights[i].data.T @ g
+        if i > 0:
+            g = g * dc.elu_slope(pre[i - 1])
+    grads = ([g] if wrt_z else []) + theta_grads[::-1]
+    for gr in grads:
+        dc._check_finite(gr, "gradient")
+    return value.item(), grads
+
+
 def reconstruction_loss(y, z: Tensor, decoder: DecoderParams,
                         kind: LossKind) -> Tensor:
     """loss(y, D(z)) with cross-entropy fused in logit space.

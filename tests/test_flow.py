@@ -347,6 +347,52 @@ class TestBatchAndTrace:
         assert len(lines) == 1 + expected_rows
 
 
+class TestTapeBoundary:
+    """Reconstruction objectives take the closed-form kernels; generic
+    objectives, and every typed error, stay as they were."""
+
+    def _no_grad(self, monkeypatch):
+        def no_tape(*args, **kwargs):
+            raise AssertionError("dc.grad called")
+        monkeypatch.setattr(dc, "grad", no_tape)
+
+    def test_reconstruction_flows_make_no_gradient_sweep(self, monkeypatch):
+        from flowenc import models as md
+        from flowenc import training as tr
+        dec = md.init_decoder([4, 8, 16], np.random.default_rng(60))
+        y = np.random.default_rng(61).uniform(0.1, 0.9, size=16)
+        self._no_grad(monkeypatch)
+        for solver in fl.SolverKind:
+            for kind in LossKind:
+                cfg = fl.FlowConfig(tau=5.0, solver=solver, n_slices=5)
+                state, _ = fl.encode_sample(y, dec, cfg, kind)
+                tr.grad_theta_approximate(y, state.z, dec, kind)
+
+    def test_generic_objective_still_sweeps(self, monkeypatch):
+        self._no_grad(monkeypatch)
+        with pytest.raises(AssertionError, match="dc.grad called"):
+            fl.integrate_amd(quad_objective(np.ones(2)), np.zeros(2),
+                             fl.FlowConfig(solver=fl.SolverKind.AMD))
+
+    def test_hidden_pre_activations_at_minus_inf_diverge(self):
+        # Layer 0 overflows to -inf everywhere; ELU maps that to a finite -1,
+        # so only a check of each pre-activation sees it.
+        from flowenc import models as md
+        dec = md.init_decoder([4, 8, 16], np.random.default_rng(62))
+        params = dec.tensors()
+        params[0] = Tensor(np.full((8, 4), -1e300), requires_grad=True)
+        dec.replace_tensors(params)
+        y = np.random.default_rng(63).uniform(0.1, 0.9, size=16)
+        z0 = np.full(4, 1e10)
+        for solver in fl.SolverKind:
+            cfg = fl.FlowConfig(tau=5.0, solver=solver, n_slices=5, z0=z0)
+            with pytest.raises(fl.FlowDivergedError):
+                fl.encode_sample(y, dec, cfg)
+        obj = fl.reconstruction_objective(y, dec)
+        with pytest.raises(fl.FlowDivergedError):
+            fl.loss_value(obj, z0, lambda msg: fl.FlowDivergedError(0.0, 0.0))
+
+
 class TestConfigValidation:
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError, match="beta"):

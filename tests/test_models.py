@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from flowenc import data as dd
 from flowenc import diffcore as dc
+from flowenc import flow as fl
 from flowenc import models as md
 from flowenc.diffcore import Tensor
 
@@ -170,6 +172,120 @@ class TestGradients:
                                           md.LossKind.CROSS_ENTROPY)
             (gw,) = dc.grad(loss, [dec.weights[0]])
         assert rel_err(gw.data, fd_grad(f_w, W0), floor=1e-8).max() < 1e-5
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def kink_latent(dec, rng):
+    """A random latent, with the biases of ``dec`` set so that two layer-0
+    pre-activations are exactly 0 there (the ELU kink)."""
+    z = rng.normal(size=dec.latent_dim)
+    params = dec.tensors()
+    b0 = params[1].data.copy()
+    b0[:2] = -(params[0].data @ z)[:2]
+    params[1] = Tensor(b0, requires_grad=True)
+    dec.replace_tensors(params)
+    assert (dec.weights[0].data @ z + dec.biases[0].data)[:2].tolist() == [0, 0]
+    return z
+
+
+def kernel_cases():
+    """(name, decoder, target, kind, latents) on which kernel == tape."""
+    rng = np.random.default_rng(31)
+    cli = md.init_decoder([16, 32, 64, 128, 784], np.random.default_rng(32))
+    # init biases are zero, so at z = 0 every pre-activation is exactly 0.
+    ce_zs = [np.zeros(16), kink_latent(cli, rng)] + [
+        rng.normal(scale=s, size=16) for s in (0.5, 1.0, 3.0)]
+    sig = md.init_decoder([4, 8, 16], np.random.default_rng(33))
+    l2_zs = [np.zeros(4), kink_latent(sig, rng)] + [
+        rng.normal(scale=s, size=4) for s in (0.5, 2.0)]
+    oracle = dd.make_linear_oracle(4, 8, seed=42)
+    linear = md.DecoderParams([Tensor(oracle.A, requires_grad=True)],
+                              [Tensor(oracle.b, requires_grad=True)],
+                              [4, 8], output_mode="identity")
+    return [
+        ("ce-cli-widths", cli, rng.uniform(0.0, 1.0, size=784),
+         md.LossKind.CROSS_ENTROPY, ce_zs),
+        ("l2-sigmoid", sig, rng.uniform(0.0, 1.0, size=16), md.LossKind.L2,
+         l2_zs),
+        ("l2-identity", linear, oracle.ys[0], md.LossKind.L2,
+         [np.zeros(4)] + [rng.normal(size=4) for _ in range(3)]),
+    ]
+
+
+class TestKernels:
+    """The closed-form kernels behind the tape boundary equal the tape."""
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_kernel_equals_tape_bitwise(self, case, monkeypatch):
+        name, dec, y, kind, zs = kernel_cases()[case]
+        obj = fl.reconstruction_objective(y, dec, kind)
+        taped = lambda z: obj(z)  # a plain callable takes the tape
+        requests = [((), True), (dec.tensors(), False), (dec.tensors(), True)]
+
+        def run(objective):
+            out = []
+            for z in zs:
+                out.append(fl.loss_value(objective, z, RuntimeError))
+                for params, wrt_x in requests:
+                    out.append(fl.value_and_grad(objective, z, params,
+                                                 RuntimeError, wrt_x=wrt_x))
+            return out
+
+        want = run(taped)
+
+        def no_tape(*args, **kwargs):
+            raise AssertionError("the kernel path opened a gradient sweep")
+
+        monkeypatch.setattr(dc, "grad", no_tape)
+        got = run(obj)
+        assert len(got) == len(want) == 4 * len(zs)
+        for g, w in zip(got, want):
+            if isinstance(w, float):
+                assert_bitwise(g, w)
+                continue
+            assert_bitwise(g[0], w[0])
+            assert len(g[1]) == len(w[1])
+            for a, b in zip(g[1], w[1]):
+                assert_bitwise(a, b)
+
+    def test_other_params_stay_on_the_tape(self, monkeypatch):
+        dec = md.init_decoder([4, 8, 16], np.random.default_rng(34))
+        y = np.random.default_rng(35).uniform(0.1, 0.9, size=16)
+        obj = fl.reconstruction_objective(y, dec)
+        z = np.random.default_rng(36).normal(size=4)
+        want = fl.value_and_grad(lambda x: obj(x), z, dec.weights[:1],
+                                 RuntimeError)
+        calls = []
+        grad = dc.grad
+        monkeypatch.setattr(dc, "grad",
+                            lambda *a, **k: calls.append(1) or grad(*a, **k))
+        got = fl.value_and_grad(obj, z, dec.weights[:1], RuntimeError)
+        assert calls == [1]
+        assert_bitwise(got[0], want[0])
+        for a, b in zip(got[1], want[1]):
+            assert_bitwise(a, b)
+
+    def test_ce_target_checked_when_the_objective_is_built(self):
+        dec = md.init_decoder([4, 8, 16], np.random.default_rng(37))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            fl.reconstruction_objective(np.full(16, 1.5), dec)
+        with pytest.raises(dc.ShapeError):
+            fl.reconstruction_objective(np.full(15, 0.5), dec)
+        with pytest.raises(dc.ShapeError):
+            fl.reconstruction_objective(np.full(15, 0.5), dec, md.LossKind.L2)
+
+    def test_latent_of_wrong_shape(self):
+        dec = md.init_decoder([4, 8, 16], np.random.default_rng(38))
+        obj = fl.reconstruction_objective(np.full(16, 0.5), dec)
+        with pytest.raises(dc.ShapeError):
+            fl.value_and_grad(obj, np.zeros(5), (), RuntimeError)
+        with pytest.raises(dc.ShapeError):
+            fl.loss_value(obj, np.zeros(5), RuntimeError)
 
 
 class TestCheckpoint:

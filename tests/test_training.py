@@ -278,6 +278,16 @@ class TestTapeBoundary:
         with pytest.raises(tr.TrainDivergedError):
             tr.grad_theta_approximate(y, z, big)
 
+    def test_hidden_pre_activations_at_minus_inf_are_typed(self):
+        # ELU maps the -inf pre-activations of layer 0 to a finite -1.
+        dec = small_decoder(seed=4)
+        params = dec.tensors()
+        params[0] = Tensor(np.full((8, 4), -1e300), requires_grad=True)
+        dec.replace_tensors(params)
+        y = np.random.default_rng(1).uniform(0.1, 0.9, size=16)
+        with pytest.raises(tr.TrainDivergedError):
+            tr.grad_theta_approximate(y, np.full(4, 1e10), dec)
+
     def test_overflowing_optimizer_step_is_typed(self):
         train, val, _ = synth_splits(n=40, seed=23, n_val=8, n_test=8)
         dec = md.init_decoder([6, 12, 784], np.random.default_rng(4))
