@@ -134,13 +134,33 @@ def cases(fe):
                                         early_stop_tol=1e-2))]:
         out.append((f"full-adjoint/{name}", lambda cfg=cfg: full_adjoint(cfg)))
 
-    # L2: criterion 1's one-layer identity decoder through each solver, and
-    # the trained sigmoid decoder through AMD with both parameter gradients.
+    # A fresh decoder has zero biases, so from z0 = 0 every first-layer
+    # pre-activation sits exactly at the ELU kink.
+    def full_adjoint_at_kink():
+        dec = decoder(12)
+        cfg = fl.FlowConfig(tau=5.0, solver=rk4, n_slices=20)
+        state, trace = fl.encode_sample(y, dec, cfg)
+        return state, trace, tr.grad_theta_full_adjoint(y, trace, dec, cfg)
+
+    out.append(("full-adjoint/kink/rk4/tau5-n20", full_adjoint_at_kink))
+
+    # L2: criterion 1's one-layer identity decoder through each solver and
+    # through a full adjoint, and the trained sigmoid decoder through AMD
+    # with both parameter gradients.
     l2 = md.LossKind.L2
     oracle = dd.make_linear_oracle(4, 8, seed=42)
     linear = md.DecoderParams([fe.diffcore.Tensor(oracle.A, requires_grad=True)],
                               [fe.diffcore.Tensor(oracle.b, requires_grad=True)],
                               [4, 8], output_mode="identity")
+
+    def l2_identity_full_adjoint():
+        cfg = fl.FlowConfig(tau=5.0, solver=rk4, n_slices=20)
+        state, trace = fl.encode_sample(oracle.ys[0], linear, cfg, l2)
+        return state, trace, tr.grad_theta_full_adjoint(oracle.ys[0], trace,
+                                                        linear, cfg, l2)
+
+    out.append(("l2/identity/rk4-full-adjoint/tau5-n20",
+                l2_identity_full_adjoint))
     for name, cfg in [
             ("rk4", fl.FlowConfig(tau=20.0, solver=rk4, n_slices=200)),
             ("nesterov", fl.FlowConfig(tau=300.0, solver=nes, n_slices=1500)),
