@@ -40,8 +40,9 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .models import (DecoderParams, LossKind, reconstruction_grads,
-                     reconstruction_loss, reconstruction_target)
+from .models import (DecoderParams, LinearizedLoss, LossKind,
+                     reconstruction_grads, reconstruction_loss,
+                     reconstruction_target)
 
 
 class SolverKind(Enum):
@@ -261,6 +262,9 @@ class ReconstructionObjective:
                ) -> tuple[float, list[np.ndarray]]:
         return reconstruction_grads(self.y, z, self.decoder, self.kind,
                                     wrt_z, wrt_theta)
+
+    def linearize(self, z: np.ndarray) -> LinearizedLoss:
+        return LinearizedLoss(self.y, z, self.decoder, self.kind)
 
 
 def reconstruction_objective(y, decoder: DecoderParams,

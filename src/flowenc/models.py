@@ -232,19 +232,14 @@ def reconstruction_target(y, decoder: DecoderParams,
     return y
 
 
-def reconstruction_grads(y: np.ndarray, z, decoder: DecoderParams,
-                         kind: LossKind, wrt_z: bool, wrt_theta: bool
-                         ) -> tuple[float, list[np.ndarray]]:
-    """reconstruction_loss(y, z) and its first-order gradients, in closed form.
+def _loss_forward(y: np.ndarray, z, decoder: DecoderParams, kind: LossKind):
+    """The forward pass of reconstruction_loss(y, z) in the tape's op order.
 
-    Returns the value and, from the same forward pass, the gradient w.r.t. z
-    (if ``wrt_z``) followed by one gradient per tensor of
-    ``decoder.tensors()`` (if ``wrt_theta``).  ``y`` comes from
-    :func:`reconstruction_target`.  The numpy operations and their order are
-    the tape's, so values and gradients equal diffcore's bit for bit, and so
-    do the errors: ``ShapeError`` for a latent of the wrong shape,
-    ``NonFiniteError`` for a non-finite latent, pre-activation, value or
-    gradient.  Every pre-activation is checked because ELU maps -inf to -1.
+    Returns the value, the input of every layer, the hidden pre-activations,
+    the logits, and the output the L2 distance is taken of (None for
+    cross-entropy).  Raises the tape's errors: ``ShapeError`` for a latent of
+    the wrong shape, ``NonFiniteError`` for a non-finite latent, pre-activation
+    or value.  Every pre-activation is checked because ELU maps -inf to -1.
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
     dc._check_finite(z, "tensor")
@@ -261,25 +256,48 @@ def reconstruction_grads(y: np.ndarray, z, decoder: DecoderParams,
             pre.append(a)
             h = dc.elu_values(a)
 
-    # ``a`` now holds the logits; g below is d value / d logits.
-    ce = kind == LossKind.CROSS_ENTROPY
-    squash = decoder.output_mode == "sigmoid"
-    if ce:
+    # ``a`` now holds the logits.
+    if kind == LossKind.CROSS_ENTROPY:
+        out = None
         value = dc.bce_values(a, y).mean()
     else:
-        out = dc.sigmoid_values(a) if squash else a
+        out = dc.sigmoid_values(a) if decoder.output_mode == "sigmoid" else a
         d = out - y
         value = np.dot(d, d)
     dc._check_finite(value, "loss")
+    return value, inputs, pre, a, out
+
+
+def _logit_grad(y: np.ndarray, a: np.ndarray, out) -> np.ndarray:
+    """d value / d logits, from :func:`_loss_forward`'s logits and output
+    (which is the logits array itself for an identity-output decoder)."""
+    if out is None:
+        return (dc.sigmoid_values(a) - y) * (1.0 / a.size)
+    d = out - y
+    g = d + d
+    if out is not a:
+        g = g * (out * (-out + 1.0))
+    return g
+
+
+def reconstruction_grads(y: np.ndarray, z, decoder: DecoderParams,
+                         kind: LossKind, wrt_z: bool, wrt_theta: bool
+                         ) -> tuple[float, list[np.ndarray]]:
+    """reconstruction_loss(y, z) and its first-order gradients, in closed form.
+
+    Returns the value and, from the same forward pass, the gradient w.r.t. z
+    (if ``wrt_z``) followed by one gradient per tensor of
+    ``decoder.tensors()`` (if ``wrt_theta``).  ``y`` comes from
+    :func:`reconstruction_target`.  The numpy operations and their order are
+    the tape's, so values and gradients equal diffcore's bit for bit, and so
+    do the errors: those of :func:`_loss_forward`, and ``NonFiniteError`` for
+    a non-finite gradient.
+    """
+    value, inputs, pre, a, out = _loss_forward(y, z, decoder, kind)
     if not (wrt_z or wrt_theta):
         return value.item(), []
-    if ce:
-        g = (dc.sigmoid_values(a) - y) * (1.0 / a.size)
-    else:
-        g = d + d
-        if squash:
-            g = g * (out * (-out + 1.0))
-
+    g = _logit_grad(y, a, out)
+    last = decoder.n_layers - 1
     theta_grads = []
     for i in range(last, -1, -1):
         if wrt_theta:
@@ -293,6 +311,81 @@ def reconstruction_grads(y: np.ndarray, z, decoder: DecoderParams,
     for gr in grads:
         dc._check_finite(gr, "gradient")
     return value.item(), grads
+
+
+class LinearizedLoss:
+    """reconstruction_loss(y, .) at one latent z, to second order.
+
+    Built from one forward and one backward pass (:func:`_loss_forward`, so
+    with its errors), it keeps per layer i the input h_i, the ELU slope and
+    curvature of the hidden pre-activations, and the cotangent g_i of the
+    loss at the pre-activation (so d loss / d W_i = outer(g_i, h_i)).  The
+    ELU curvature at the kink is the tape's, exp(0) = 1 (``_elu_prime``).
+
+    :meth:`tangent` differentiates all of these in a latent direction v
+    (Pearlmutter's R-operator, forward over reverse): h_i' and g_i', from
+    which H v = W_0^T g_0' and the v-weighted mixed derivative
+    d_theta <grad_z loss, v> = (outer(g_i', h_i) + outer(g_i, h_i'), g_i')
+    per layer.
+    """
+
+    def __init__(self, y: np.ndarray, z, decoder: DecoderParams,
+                 kind: LossKind):
+        _, self.inputs, pre, a, out = _loss_forward(y, z, decoder, kind)
+        self.weights = [w.data for w in decoder.weights]
+        self.slopes = [dc.elu_slope(p) for p in pre]
+        # d^2 value / d logits^2 is diagonal for all three losses.
+        if out is None:
+            s = dc.sigmoid_values(a)
+            self.logit_curv = s * (1.0 - s) * (1.0 / a.size)
+        elif out is a:
+            self.logit_curv = 2.0
+        else:
+            ds = out * (1.0 - out)
+            self.logit_curv = 2.0 * ds * (ds + (out - y) * (1.0 - 2.0 * out))
+        g = _logit_grad(y, a, out)
+        self.grads = [g]
+        # (W_i^T g_i) * elu''(a_{i-1}): the curvature term of g_{i-1}'.
+        self.curv_terms = []
+        for i in range(len(self.weights) - 1, 0, -1):
+            u = self.weights[i].T @ g
+            p = pre[i - 1]
+            self.curv_terms.append(
+                u * np.where(p > 0, 0.0, np.exp(np.minimum(p, 0.0))))
+            g = u * self.slopes[i - 1]
+            self.grads.append(g)
+        self.grads.reverse()
+        self.curv_terms.reverse()
+        for gr in self.grads:
+            dc._check_finite(gr, "gradient")
+        self._v = self._tangent = None
+
+    def tangent(self, v: np.ndarray) -> tuple[list[np.ndarray],
+                                              list[np.ndarray]]:
+        """(h_i', g_i') for every layer i in latent direction v.  The last
+        direction's result is kept, so asking twice costs one sweep."""
+        if v is self._v:
+            return self._tangent
+        h_dots, a_dots = [v], []
+        for w, slope in zip(self.weights, self.slopes):
+            a_dot = w @ h_dots[-1]
+            a_dots.append(a_dot)
+            h_dots.append(slope * a_dot)
+        g_dot = self.logit_curv * (self.weights[-1] @ h_dots[-1])
+        g_dots = [g_dot]
+        for i in range(len(self.weights) - 1, 0, -1):
+            g_dot = ((self.weights[i].T @ g_dot) * self.slopes[i - 1]
+                     + self.curv_terms[i - 1] * a_dots[i - 1])
+            g_dots.append(g_dot)
+        g_dots.reverse()
+        self._v, self._tangent = v, (h_dots, g_dots)
+        return self._tangent
+
+    def hvp(self, v: np.ndarray) -> np.ndarray:
+        """The Hessian of the loss in z, applied to v."""
+        hv = self.weights[0].T @ self.tangent(v)[1][0]
+        dc._check_finite(hv, "hvp")
+        return hv
 
 
 def reconstruction_loss(y, z: Tensor, decoder: DecoderParams,

@@ -34,9 +34,9 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Tensor
 from .flow import (FlowConfig, FlowDivergedError, FlowTrace, SolverKind,
-                   _alpha_fn, encode_sample, forward_value, hvp_at,
-                   loss_value, mixed_vjp_at, reconstruction_objective,
-                   rk4_step, value_and_grad)
+                   _alpha_fn, _has_kernel, _nonfinite_as, encode_sample,
+                   forward_value, hvp_at, loss_value, mixed_vjp_at,
+                   reconstruction_objective, rk4_step, value_and_grad)
 from .models import DecoderParams, EncoderParams, LossKind, encode, \
     reconstruction_loss
 from .data import Dataset, SamplerState
@@ -128,6 +128,89 @@ def grad_theta_approximate(y, zstar: np.ndarray, theta: DecoderParams,
     return grads, 1
 
 
+class _TapedSecondOrder:
+    """The full adjoint's second-order terms from diffcore tapes: one tape
+    per hvp and per mixed term, and the mixed integral summed into the
+    partial derivative slice by slice with the trapezoid rule."""
+
+    def __init__(self, objective, thetas, trace, alpha_fn, err, partial):
+        self.objective, self.thetas, self.err = objective, thetas, err
+        self.trace, self.alpha_fn = trace, alpha_fn
+        self.total, self.right = partial, None
+
+    def hvp(self, t, z, v):
+        return hvp_at(self.objective, z, v, self.err)
+
+    def mixed(self, k, lam):
+        """Add the mixed term at grid point k, where the costate is lam."""
+        m = mixed_vjp_at(self.objective, self.trace.zs[k], self.thetas, lam,
+                         self.err)
+        if self.right is not None:
+            ts, dt, alpha = self.trace.ts, self.trace.dts[k], self.alpha_fn
+            self.total = [acc + 0.5 * dt * (alpha(ts[k]) * ml
+                                            + alpha(ts[k + 1]) * mr)
+                          for acc, ml, mr in zip(self.total, m, self.right)]
+        self.right = m
+
+
+class _KernelSecondOrder:
+    """The same terms from the objective's closed-form linearizations.
+
+    There is one linearization per distinct point the costate visits: the
+    midpoint of each slice (its k2 and k3 stages) and each grid point (k4,
+    the mixed term there, and the next slice's k1, whose direction is the
+    mixed term's, so one tangent sweep serves both).  The mixed integral's
+    trapezoid weight c_k per grid point scales the factors g_i' and g_i
+    that the sweep in direction lambda_k gives; they are written, with h_i
+    and h_i', into rows allocated once, and :meth:`result` contracts them
+    with one GEMM per weight matrix and one weighted sum per bias.
+    """
+
+    def __init__(self, objective, thetas, trace, alpha_fn, err, partial):
+        self.objective, self.trace, self.partial = objective, trace, partial
+        n, ts, dts = trace.n_slices, trace.ts, trace.dts
+        self.weights = [0.5 * alpha_fn(ts[k])
+                        * ((dts[k - 1] if k > 0 else 0.0)
+                           + (dts[k] if k < n else 0.0))
+                        for k in range(n + 1)]
+        widths = objective.decoder.widths
+        # Rows k and n+1+k hold (c_k g_i', h_i) and (c_k g_i, h_i').
+        self.outs = [np.empty((2 * (n + 1), w)) for w in widths[1:]]
+        self.ins = [np.empty((2 * (n + 1), w)) for w in widths[:-1]]
+        self.points = {}
+
+    def _point(self, t, z):
+        lin = self.points.get(t)
+        if lin is None:
+            lin = self.points[t] = self.objective.linearize(z)
+        return lin
+
+    def hvp(self, t, z, v):
+        return self._point(t, z).hvp(v)
+
+    def mixed(self, k, lam):
+        t = self.trace.ts[k]
+        lin = self._point(t, self.trace.zs[k])
+        self.points = {t: lin}  # the next slice down shares only this point
+        h_dots, g_dots = lin.tangent(lam)
+        c, r = self.weights[k], self.trace.n_slices + 1 + k
+        for out, inp, g_dot, g, h, h_dot in zip(
+                self.outs, self.ins, g_dots, lin.grads, lin.inputs, h_dots):
+            np.multiply(g_dot, c, out=out[k])
+            np.multiply(g, c, out=out[r])
+            inp[k] = h
+            inp[r] = h_dot
+
+    @property
+    def total(self):
+        n = self.trace.n_slices
+        total = []
+        for i, (out, inp) in enumerate(zip(self.outs, self.ins)):
+            total.append(self.partial[2 * i] + out.T @ inp)
+            total.append(self.partial[2 * i + 1] + out[:n + 1].sum(axis=0))
+        return total
+
+
 def full_adjoint_gradient(objective, thetas: list[Tensor], trace: FlowTrace,
                           alpha_fn, costate_out: list | None = None
                           ) -> tuple[list[np.ndarray], int]:
@@ -136,8 +219,11 @@ def full_adjoint_gradient(objective, thetas: list[Tensor], trace: FlowTrace,
     ``objective`` maps a latent Tensor to the taped loss and closes over
     ``thetas``.  The costate is advanced backward by ``rk4_step`` on each
     cached slice (latent linearly interpolated inside a slice); the integral
-    term uses the trapezoid rule on the grid points.  If ``costate_out`` is a
-    list, (t, lambda) pairs are appended in backward order.
+    term uses the trapezoid rule on the grid points.  A reconstruction
+    objective over its decoder's tensors takes its hvps and mixed terms from
+    closed-form linearizations and contracts the integral once per layer at
+    the end; any other objective, from one tape each.  If ``costate_out`` is
+    a list, (t, lambda) pairs are appended in backward order.
     """
     if not trace.complete:
         raise ValueError("full adjoint needs a complete flow trace")
@@ -152,29 +238,29 @@ def full_adjoint_gradient(objective, thetas: list[Tensor], trace: FlowTrace,
     # Terminal condition and the partial derivative, from one shared graph.
     _, gs = value_and_grad(objective, zs[-1], thetas, err)
     lam = -gs[0]
-    total = [g.copy() for g in gs[1:]]
     if costate_out is not None:
         costate_out.append((ts[-1], lam.copy()))
 
-    m_right = mixed_vjp_at(objective, zs[-1], thetas, lam, err)
-    for j in range(n - 1, -1, -1):
-        t_hi, t_lo = ts[j + 1], ts[j]
-        dt = trace.dts[j]
-        z_lo, z_hi = zs[j], zs[j + 1]
+    second = (_KernelSecondOrder if _has_kernel(objective, thetas)
+              else _TapedSecondOrder)(objective, thetas, trace, alpha_fn, err,
+                                      [g.copy() for g in gs[1:]])
+    with _nonfinite_as(err, taped=False):
+        second.mixed(n, lam)
+        for j in range(n - 1, -1, -1):
+            t_hi, t_lo = ts[j + 1], ts[j]
+            dt = trace.dts[j]
+            z_lo, z_hi = zs[j], zs[j + 1]
 
-        def rhs(t, lam_val):
-            w = 0.0 if dt == 0.0 else (t - t_lo) / dt
-            z = z_lo + w * (z_hi - z_lo)
-            return alpha_fn(t) * hvp_at(objective, z, lam_val, err)
+            def rhs(t, lam_val):
+                w = 0.0 if dt == 0.0 else (t - t_lo) / dt
+                z = z_lo + w * (z_hi - z_lo)
+                return alpha_fn(t) * second.hvp(t, z, lam_val)
 
-        lam = rk4_step(rhs, t_hi, t_lo, lam, rhs(t_hi, lam))
-        if costate_out is not None:
-            costate_out.append((t_lo, lam.copy()))
-
-        m_left = mixed_vjp_at(objective, z_lo, thetas, lam, err)
-        total = [acc + 0.5 * dt * (alpha_fn(t_lo) * ml + alpha_fn(t_hi) * mr)
-                 for acc, ml, mr in zip(total, m_left, m_right)]
-        m_right = m_left
+            lam = rk4_step(rhs, t_hi, t_lo, lam, rhs(t_hi, lam))
+            if costate_out is not None:
+                costate_out.append((t_lo, lam.copy()))
+            second.mixed(j, lam)
+        total = second.total
 
     for g in total:
         if not np.isfinite(g).all():
