@@ -347,3 +347,28 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="dec_w1"):
             md.load_checkpoint(path)
+
+
+class TestSecondOrderKernels:
+    """The linearization's hvp and mixed term equal the tape's to rounding."""
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_hvp_and_mixed_term_match_the_tape(self, case):
+        name, dec, y, kind, zs = kernel_cases()[case]
+        obj = fl.reconstruction_objective(y, dec, kind)
+        taped = lambda z: obj(z)
+        rng = np.random.default_rng(40 + case)
+        for z in zs:
+            lam = rng.normal(size=z.shape)
+            lin = obj.linearize(z)
+            want = fl.hvp_at(taped, z, lam, RuntimeError)
+            got = lin.hvp(lam)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            want_m = fl.mixed_vjp_at(taped, z, dec.tensors(), lam, RuntimeError)
+            h_dots, g_dots = lin.tangent(lam)
+            got_m = []
+            for h, h_dot, g, g_dot in zip(lin.inputs, h_dots, lin.grads,
+                                          g_dots):
+                got_m += [np.outer(g_dot, h) + np.outer(g, h_dot), g_dot]
+            for a, b in zip(got_m, want_m):
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b) + 1e-300

@@ -250,7 +250,99 @@ class TestFullAdjoint:
                                      lambda t: 1.0)
 
 
+def _trained_cli_decoder():
+    train, val, _ = synth_splits(n=40, seed=29, n_val=8, n_test=8)
+    dec = md.init_decoder([16, 32, 64, 128, 784], np.random.default_rng(30))
+    tr.train_gfe(train, val, dec,
+                 fl.FlowConfig(tau=20.0, solver=fl.SolverKind.AMD),
+                 tr.AdjointMode.APPROXIMATE,
+                 tr.rmsprop_state(dec.tensors(), lr=5e-3),
+                 tr.TrainSchedule(iterations=6, batch_size=1, val_size=2),
+                 np.random.default_rng(31))
+    return dec, val.images[0]
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestKernelAdjoint:
+    """The full adjoint on closed-form kernels against the taped one."""
+
+    @pytest.mark.parametrize("cfg", [
+        fl.FlowConfig(tau=5.0, solver=fl.SolverKind.RK4_FIXED, n_slices=12),
+        fl.FlowConfig(tau=5.0, solver=fl.SolverKind.RK4_FIXED, n_slices=12,
+                      alpha_schedule=fl.AlphaSchedule.EXP_DECAY),
+        fl.FlowConfig(tau=10.0, solver=fl.SolverKind.AMD)],
+        ids=["rk4-one", "rk4-exp-decay", "amd"])
+    def test_matches_taped_adjoint(self, cfg, monkeypatch):
+        dec, y = _trained_cli_decoder()
+        obj = fl.reconstruction_objective(y, dec)
+        _, trace = fl.encode_sample(y, dec, cfg)
+        alpha = (fl._alpha_fn(cfg) if cfg.solver != fl.SolverKind.AMD
+                 else (lambda t: 1.0))
+        want_lam, got_lam = [], []
+        want, want_calls = tr.full_adjoint_gradient(
+            lambda z: obj(z), dec.tensors(), trace, alpha, want_lam)
+
+        def no_tape(*args, **kwargs):
+            raise AssertionError("the kernel path opened a second-order tape")
+
+        monkeypatch.setattr(dc, "hvp", no_tape)
+        monkeypatch.setattr(dc, "mixed_vjp", no_tape)
+        got, got_calls = tr.full_adjoint_gradient(obj, dec.tensors(), trace,
+                                                  alpha, got_lam)
+        assert got_calls == want_calls == 15 * trace.n_slices + 4
+        for a, b in zip(got, want):
+            assert _rel(a, b) <= 1e-12
+        assert [t for t, _ in got_lam] == [t for t, _ in want_lam]
+        for (_, a), (_, b) in zip(got_lam, want_lam):
+            assert _rel(a, b) <= 1e-12
+
+    def test_generic_objective_stays_taped(self, monkeypatch):
+        dec = small_decoder(seed=3)
+        y = np.random.default_rng(3).uniform(0.1, 0.9, size=16)
+        obj = fl.reconstruction_objective(y, dec)
+        cfg = fl.FlowConfig(tau=5.0, solver=fl.SolverKind.RK4_FIXED,
+                            n_slices=4)
+        _, trace = fl.encode_sample(y, dec, cfg)
+
+        def no_tape(*args, **kwargs):
+            raise AssertionError("taped")
+
+        monkeypatch.setattr(dc, "hvp", no_tape)
+        with pytest.raises(AssertionError, match="taped"):
+            tr.full_adjoint_gradient(lambda z: obj(z), dec.tensors(), trace,
+                                     lambda t: 1.0)
+        # Another parameter list is not the kernel's either.
+        with pytest.raises(AssertionError, match="taped"):
+            tr.full_adjoint_gradient(obj, dec.weights, trace, lambda t: 1.0)
+
+
 class TestTapeBoundary:
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_overflow_at_a_costate_point_is_typed(self, taped):
+        # Layer 0's pre-activations overflow to -inf at zs[0], which only
+        # the costate visits; ELU would map them to a finite -1.
+        dec = small_decoder(seed=4)
+        params = dec.tensors()
+        params[0] = Tensor(np.full((8, 4), -1e300), requires_grad=True)
+        dec.replace_tensors(params)
+        y = np.random.default_rng(1).uniform(0.1, 0.9, size=16)
+        obj = fl.reconstruction_objective(y, dec)
+        zs = [np.full(4, 1e10), np.full(4, 1e-10), np.full(4, 1e-10)]
+        trace = fl.FlowTrace(ts=[0.0, 1.0, 2.0], zs=zs, dts=[1.0, 1.0],
+                             complete=True, solver=fl.SolverKind.RK4_FIXED)
+        objective = (lambda z: obj(z)) if taped else obj
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(tr.TrainDivergedError):
+                tr.full_adjoint_gradient(objective, dec.tensors(), trace,
+                                         lambda t: 1.0)
+        finally:
+            gc.enable()
+
     def test_tapes_need_no_cyclic_collector(self):
         # Tapes are freed by reference counting alone: with the collector
         # off, a value+grad and a full adjoint leave it nothing to find.
