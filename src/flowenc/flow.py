@@ -25,7 +25,10 @@ helpers below (:func:`forward_value`, :func:`loss_value`,
 :func:`value_and_grad` serve a :class:`ReconstructionObjective` from the
 closed-form kernel in ``models`` when the requested parameters are none or
 exactly the decoder's tensors; every other request, and the second-order
-helpers, open a diffcore tape.  Kernel and tape give the same bits.
+helpers, open a diffcore tape.  Kernel and tape give the same bits.  The
+full adjoint in ``training`` takes its second-order terms for such an
+objective from :meth:`ReconstructionObjective.linearize` instead, under the
+same error mapping; its model-call units do not change.
 """
 
 from __future__ import annotations
@@ -246,7 +249,8 @@ class ReconstructionObjective:
 
     Called on a Tensor it builds the taped loss, for the second-order
     helpers; :meth:`kernel` is the closed-form first-order path that
-    :func:`loss_value` and :func:`value_and_grad` take instead of the tape.
+    :func:`loss_value` and :func:`value_and_grad` take instead of the tape,
+    and :meth:`linearize` the second-order one the full adjoint takes.
     The target is validated once, here.
     """
 
