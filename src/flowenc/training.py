@@ -193,7 +193,7 @@ class _KernelSecondOrder:
     mixed term's, so one tangent sweep serves both).  The mixed integral's
     trapezoid weight c_k per grid point scales the factors g_i' and g_i
     that the sweep in direction lambda_k gives; they are written, with h_i
-    and h_i', into rows allocated once, and :meth:`result` contracts them
+    and h_i', into rows allocated once, and :attr:`total` contracts them
     with one GEMM per weight matrix and one weighted sum per bias.
     """
 
@@ -211,6 +211,9 @@ class _KernelSecondOrder:
         self.points = {}
 
     def _point(self, t, z):
+        # Keyed by time: inside a slice z is a function of t, and a grid
+        # point's linearization, built from the grid latent, also serves the
+        # slice below, whose interpolated z there differs only by rounding.
         lin = self.points.get(t)
         if lin is None:
             lin = self.points[t] = self.objective.linearize(z)
