@@ -73,7 +73,6 @@ class OptimizerState:
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     step_count: int = 0
-    work: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
 
 
 def rmsprop_state(params: list[Tensor], lr: float = 5e-4, alpha: float = 0.9,
@@ -93,56 +92,29 @@ def adam_state(params: list[Tensor], lr: float = 1e-3, beta1: float = 0.9,
 
 def optimizer_step(opt: OptimizerState, params: list[Tensor],
                    grads: list[np.ndarray]) -> list[Tensor]:
-    """One update; returns fresh parameter tensors (inputs stay immutable).
-
-    The moment estimates are updated in place, and the step is formed in
-    one work buffer kept across steps and in the new parameter array, with
-    the operations in the order of the textbook formulas (so the same bits).
-    """
+    """One update; returns fresh parameter tensors (inputs stay immutable)."""
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
     for p, g in zip(params, grads):
         if p.data.shape != g.shape:
             raise ValueError(f"shape mismatch: param {p.data.shape} vs "
                              f"grad {g.shape}")
-    size = max(g.size for g in grads)
-    if opt.work.size < size:
-        opt.work = np.empty(size)
     opt.step_count += 1
     out = []
-    t = opt.step_count
-    bc1 = 1.0 - opt.beta1 ** t
-    bc2 = 1.0 - opt.beta2 ** t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        buf = opt.work[:g.size].reshape(g.shape)
-        new = np.empty_like(p.data)
-        if opt.kind == OptimizerKind.RMSPROP:
-            # sq = alpha*sq + ((1-alpha)*g)*g; step = (lr*g) / (sqrt(sq)+eps)
-            sq = opt.sq_avg[i]
-            np.multiply(sq, opt.alpha, out=sq)
-            np.multiply(g, 1 - opt.alpha, out=buf)
-            np.multiply(buf, g, out=buf)
-            np.add(sq, buf, out=sq)
-            np.sqrt(sq, out=new)
-            np.multiply(g, opt.lr, out=buf)
-        else:
-            # m, v as RMSprop's sq; step = (lr*(m/bc1)) / (sqrt(v/bc2)+eps)
-            m, v = opt.m[i], opt.v[i]
-            np.multiply(m, opt.beta1, out=m)
-            np.multiply(g, 1 - opt.beta1, out=buf)
-            np.add(m, buf, out=m)
-            np.multiply(v, opt.beta2, out=v)
-            np.multiply(g, 1 - opt.beta2, out=buf)
-            np.multiply(buf, g, out=buf)
-            np.add(v, buf, out=v)
-            np.divide(v, bc2, out=new)
-            np.sqrt(new, out=new)
-            np.divide(m, bc1, out=buf)
-            np.multiply(buf, opt.lr, out=buf)
-        np.add(new, opt.eps, out=new)
-        np.divide(buf, new, out=buf)
-        np.subtract(p.data, buf, out=new)
-        out.append(Tensor(new, requires_grad=True))
+    if opt.kind == OptimizerKind.RMSPROP:
+        for i, (p, g) in enumerate(zip(params, grads)):
+            opt.sq_avg[i] = opt.alpha * opt.sq_avg[i] + (1 - opt.alpha) * g * g
+            step = opt.lr * g / (np.sqrt(opt.sq_avg[i]) + opt.eps)
+            out.append(Tensor(p.data - step, requires_grad=True))
+    else:
+        t = opt.step_count
+        bc1 = 1.0 - opt.beta1 ** t
+        bc2 = 1.0 - opt.beta2 ** t
+        for i, (p, g) in enumerate(zip(params, grads)):
+            opt.m[i] = opt.beta1 * opt.m[i] + (1 - opt.beta1) * g
+            opt.v[i] = opt.beta2 * opt.v[i] + (1 - opt.beta2) * g * g
+            step = opt.lr * (opt.m[i] / bc1) / (np.sqrt(opt.v[i] / bc2) + opt.eps)
+            out.append(Tensor(p.data - step, requires_grad=True))
     return out
 
 
