@@ -3,10 +3,15 @@
 Usage: python scripts/digest.py SRC_DIR
 
 Imports ``flowenc`` from SRC_DIR (the ``src`` directory of a checkout) and
-prints one line per case: its name and a SHA-256 of every float, integer and
-array the program returned (wall-clock fields and parameter version stamps
-excluded).  Run it on two checkouts and diff the output to check that a
-change keeps results bit-identical.  It takes well under a minute.
+prints one line per case: its name, a SHA-256 of every float, integer and
+array the program returned, and a SHA-256 of the model-call unit counts it
+returned.  The counts are every ``model_calls``/``total_model_calls`` field
+and the call count that ``evaluate``, ``grad_theta_*`` and
+``full_adjoint_gradient`` return; the first hash leaves them out, and both
+leave out wall-clock fields and parameter version stamps.  Run it on two
+checkouts and diff the output to check that a change keeps results
+bit-identical, and whether it moved the unit accounting.  It takes well
+under a minute.
 """
 
 from __future__ import annotations
@@ -22,12 +27,29 @@ import numpy as np
 #: Fields that follow the clock or a process-wide counter, not the numbers.
 SKIPPED_FIELDS = {"wall_ms", "theta_version"}
 
+#: Fields that hold model-call unit counts; they go to the second hash.
+UNIT_FIELDS = {"model_calls", "total_model_calls"}
+
 WIDTHS = [16, 32, 64, 128, 784]
 
 
-def feed(h, obj) -> None:
-    """Hash ``obj`` recursively, with type tags so values cannot alias."""
-    if obj is None:
+class Units(int):
+    """A model-call count the program returned."""
+
+
+def counted(result):
+    """A ``(value, calls)`` return with its call count marked as units."""
+    value, calls = result
+    return value, Units(calls)
+
+
+def feed(h, units, obj) -> None:
+    """Hash ``obj`` recursively into ``h``, with type tags so values cannot
+    alias; unit counts go to ``units`` and leave a tag in ``h``."""
+    if isinstance(obj, Units):
+        h.update(b"U")
+        units.update(b"I" + str(int(obj)).encode())
+    elif obj is None:
         h.update(b"N")
     elif isinstance(obj, (bool, np.bool_)):
         h.update(b"B1" if obj else b"B0")
@@ -46,24 +68,28 @@ def feed(h, obj) -> None:
     elif isinstance(obj, (list, tuple)):
         h.update(b"L" + str(len(obj)).encode())
         for item in obj:
-            feed(h, item)
+            feed(h, units, item)
     elif dataclasses.is_dataclass(obj):
         h.update(b"D" + type(obj).__name__.encode())
         for f in dataclasses.fields(obj):
-            if f.name not in SKIPPED_FIELDS:
-                feed(h, getattr(obj, f.name))
+            value = getattr(obj, f.name)
+            if f.name in UNIT_FIELDS:
+                feed(h, units, Units(value))
+            elif f.name not in SKIPPED_FIELDS:
+                feed(h, units, value)
     elif hasattr(obj, "tensors") and hasattr(obj, "widths"):
         h.update(b"P")
-        feed(h, obj.widths)
-        feed(h, [t.data for t in obj.tensors()])
+        feed(h, units, obj.widths)
+        feed(h, units, [t.data for t in obj.tensors()])
     else:
         raise TypeError(f"cannot digest {type(obj).__name__}")
 
 
 def digest(obj) -> str:
-    h = hashlib.sha256()
-    feed(h, obj)
-    return h.hexdigest()
+    """The numbers hash and the units hash of ``obj``, space-separated."""
+    h, units = hashlib.sha256(), hashlib.sha256()
+    feed(h, units, obj)
+    return f"{h.hexdigest()} {units.hexdigest()}"
 
 
 def cases(fe):
@@ -119,7 +145,8 @@ def cases(fe):
 
     def full_adjoint(cfg):
         state, trace = fl.encode_sample(y, trained, cfg)
-        return state, trace, tr.grad_theta_full_adjoint(y, trace, trained, cfg)
+        return state, trace, counted(
+            tr.grad_theta_full_adjoint(y, trace, trained, cfg))
 
     for name, cfg in [
             ("rk4/one/tau5-n20", fl.FlowConfig(tau=5.0, solver=rk4, n_slices=20)),
@@ -140,7 +167,8 @@ def cases(fe):
         dec = decoder(12)
         cfg = fl.FlowConfig(tau=5.0, solver=rk4, n_slices=20)
         state, trace = fl.encode_sample(y, dec, cfg)
-        return state, trace, tr.grad_theta_full_adjoint(y, trace, dec, cfg)
+        return state, trace, counted(
+            tr.grad_theta_full_adjoint(y, trace, dec, cfg))
 
     out.append(("full-adjoint/kink/rk4/tau5-n20", full_adjoint_at_kink))
 
@@ -156,8 +184,8 @@ def cases(fe):
     def l2_identity_full_adjoint():
         cfg = fl.FlowConfig(tau=5.0, solver=rk4, n_slices=20)
         state, trace = fl.encode_sample(oracle.ys[0], linear, cfg, l2)
-        return state, trace, tr.grad_theta_full_adjoint(oracle.ys[0], trace,
-                                                        linear, cfg, l2)
+        return state, trace, counted(tr.grad_theta_full_adjoint(
+            oracle.ys[0], trace, linear, cfg, l2))
 
     out.append(("l2/identity/rk4-full-adjoint/tau5-n20",
                 l2_identity_full_adjoint))
@@ -172,19 +200,19 @@ def cases(fe):
         cfg = fl.FlowConfig(tau=20.0, solver=amd, early_stop_tol=1e-2)
         state, trace = fl.encode_sample(y, trained, cfg, l2)
         return (state, trace,
-                tr.grad_theta_approximate(y, state.z, trained, l2),
-                tr.grad_theta_full_adjoint(y, trace, trained, cfg, l2))
+                counted(tr.grad_theta_approximate(y, state.z, trained, l2)),
+                counted(tr.grad_theta_full_adjoint(y, trace, trained, cfg, l2)))
 
     out.append(("l2/sigmoid/amd-approx-full", l2_sigmoid_amd))
 
     eval_cfg = fl.FlowConfig(tau=100.0, solver=amd, early_stop_tol=1e-4)
-    out.append(("evaluate/ae-encoder", lambda: tr.evaluate(
-        test, ae_dec, tr.EvalMode.AE_ENCODER, encoder=ae_enc, limit=4)))
-    out.append(("evaluate/gfe-flow", lambda: tr.evaluate(
-        test, trained, tr.EvalMode.GFE_FLOW, cfg=eval_cfg, limit=4)))
-    out.append(("evaluate/gfe-flow-warm-start", lambda: tr.evaluate(
+    out.append(("evaluate/ae-encoder", lambda: counted(tr.evaluate(
+        test, ae_dec, tr.EvalMode.AE_ENCODER, encoder=ae_enc, limit=4))))
+    out.append(("evaluate/gfe-flow", lambda: counted(tr.evaluate(
+        test, trained, tr.EvalMode.GFE_FLOW, cfg=eval_cfg, limit=4))))
+    out.append(("evaluate/gfe-flow-warm-start", lambda: counted(tr.evaluate(
         test, ae_dec, tr.EvalMode.GFE_FLOW, cfg=eval_cfg, encoder=ae_enc,
-        limit=4, warm_start_encoder=True)))
+        limit=4, warm_start_encoder=True))))
 
     def train_gfe(cfg, mode):
         dec = decoder(6)
