@@ -19,16 +19,18 @@ the same trajectory.  Every decoder evaluation is counted in
 
 Every evaluation of an objective, here and in ``training``, and every
 untaped forward pass there and in ``cli``, goes through the tape-boundary
-helpers below (:func:`forward_value`, :func:`loss_value`,
+helpers below (:func:`forward_value`, :func:`loss_at`, :func:`loss_value`,
 :func:`value_and_grad`, :func:`hvp_at`, :func:`mixed_vjp_at`).  They turn
-``NonFiniteError`` into the caller's typed error.  :func:`loss_value` and
-:func:`value_and_grad` serve a :class:`ReconstructionObjective` from the
-closed-form kernel in ``models`` when the requested parameters are none or
-exactly the decoder's tensors; every other request, and the second-order
-helpers, open a diffcore tape.  Kernel and tape give the same bits.  The
-full adjoint in ``training`` takes its second-order terms for such an
-objective from :meth:`ReconstructionObjective.linearize` instead, under the
-same error mapping; its model-call units do not change.
+``NonFiniteError`` into the caller's typed error.  :func:`loss_at` (and its
+value half :func:`loss_value`) and :func:`value_and_grad` serve a
+:class:`ReconstructionObjective` from the closed-form kernel in ``models``
+when the requested parameters are none or exactly the decoder's tensors;
+:func:`loss_at` keeps the kernel's forward pass so that a gradient asked for
+later costs only the backward pass.  Every other request, and the
+second-order helpers, open a diffcore tape.  Kernel and tape give the same
+bits.  The full adjoint in ``training`` takes its second-order terms for
+such an objective from :meth:`ReconstructionObjective.linearize` instead,
+under the same error mapping; its model-call units do not change.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import diffcore as dc
+from . import models
 from .diffcore import Tensor
 from .models import (DecoderParams, LinearizedLoss, LossKind,
                      reconstruction_grads, reconstruction_loss,
@@ -197,13 +200,29 @@ def _has_kernel(objective: Objective, params: Sequence[Tensor]) -> bool:
                                            for p, q in zip(params, own))
 
 
+def loss_at(objective: Objective, x: np.ndarray, error: ErrorFactory
+            ) -> tuple[float, Callable[[], np.ndarray]]:
+    """objective(x) as a float, with x held constant, and a function that
+    returns the gradient w.r.t. x at x.  The objective's kernel, where it
+    has one, runs its forward pass now and the backward pass from it when
+    the gradient is asked for; otherwise the value takes no tape and the
+    gradient opens one.  Both halves map errors through ``error``."""
+    if _has_kernel(objective, ()):
+        with _nonfinite_as(error, taped=False):
+            forward = objective.forward(x)
+
+        def grad() -> np.ndarray:
+            with _nonfinite_as(error, taped=False):
+                return objective.backward(forward)
+        return forward[0].item(), grad
+    value = forward_value(objective, x, error).item()
+    return value, lambda: value_and_grad(objective, x, (), error)[1][0]
+
+
 def loss_value(objective: Objective, x: np.ndarray,
                error: ErrorFactory) -> float:
     """objective(x) as a float, with x held constant; no tape is opened."""
-    if _has_kernel(objective, ()):
-        with _nonfinite_as(error, taped=False):
-            return objective.kernel(x, False, False)[0]
-    return forward_value(objective, x, error).item()
+    return loss_at(objective, x, error)[0]
 
 
 def value_and_grad(objective: Objective, x: np.ndarray,
@@ -249,8 +268,9 @@ class ReconstructionObjective:
 
     Called on a Tensor it builds the taped loss, for the second-order
     helpers; :meth:`kernel` is the closed-form first-order path that
-    :func:`loss_value` and :func:`value_and_grad` take instead of the tape,
-    and :meth:`linearize` the second-order one the full adjoint takes.
+    :func:`value_and_grad` takes instead of the tape, :meth:`forward` and
+    :meth:`backward` the same path in two halves for :func:`loss_at`, and
+    :meth:`linearize` the second-order one the full adjoint takes.
     The target is validated once, here.
     """
 
@@ -266,6 +286,15 @@ class ReconstructionObjective:
                ) -> tuple[float, list[np.ndarray]]:
         return reconstruction_grads(self.y, z, self.decoder, self.kind,
                                     wrt_z, wrt_theta)
+
+    def forward(self, z: np.ndarray):
+        """The kernel's forward pass at z, kept for :meth:`backward`."""
+        return models._loss_forward(self.y, z, self.decoder, self.kind)
+
+    def backward(self, forward) -> np.ndarray:
+        """The gradient w.r.t. z from a kept :meth:`forward`."""
+        return models._loss_backward(self.y, forward, self.decoder,
+                                     True, False)[0]
 
     def linearize(self, z: np.ndarray) -> LinearizedLoss:
         return LinearizedLoss(self.y, z, self.decoder, self.kind)
@@ -382,6 +411,11 @@ def integrate_amd(objective: Objective, z0: np.ndarray,
     size takes over its role).  Stops at tau, on relative improvement below
     early_stop_tol, or with ``stalled`` set when no candidate lowers l
     (converged to machine precision).
+
+    Every trial is one forward pass (one unit) through :func:`loss_at`.  An
+    accepted step that the flow continues from takes its gradient from that
+    trial's forward pass, so a flow costs 1 + trials units.  Rejected trials
+    and the flow's last point are never differentiated.
     """
     state = FlowState(z=np.array(z0, dtype=np.float64))
     trace = FlowTrace(solver=SolverKind.AMD)
@@ -399,7 +433,7 @@ def integrate_amd(objective: Objective, z0: np.ndarray,
 
         for dt in _trial_steps(s, cfg.beta, cfg.tau - t):
             z_try = z - dt * g
-            l_try = loss_value(objective, z_try, _diverged_at(t + dt))
+            l_try, grad_try = loss_at(objective, z_try, _diverged_at(t + dt))
             state.model_calls += 1
             if l_try < l_cur:
                 break
@@ -421,8 +455,7 @@ def integrate_amd(objective: Objective, z0: np.ndarray,
         if t >= cfg.tau:
             break
         s = min(max(cfg.kappa * s, cfg.s0), cfg.s_max)
-        l_cur, (g,) = value_and_grad(objective, z, (), _diverged_at(t))
-        state.model_calls += 1
+        g = grad_try()
 
     trace.ts.append(t)
     trace.zs.append(z.copy())

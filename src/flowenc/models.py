@@ -287,15 +287,26 @@ def reconstruction_grads(y: np.ndarray, z, decoder: DecoderParams,
 
     Returns the value and, from the same forward pass, the gradient w.r.t. z
     (if ``wrt_z``) followed by one gradient per tensor of
-    ``decoder.tensors()`` (if ``wrt_theta``).  ``y`` comes from
+    ``decoder.tensors()`` (if ``wrt_theta``): :func:`_loss_forward`, then
+    :func:`_loss_backward` from its result.  ``y`` comes from
     :func:`reconstruction_target`.  The numpy operations and their order are
     the tape's, so values and gradients equal diffcore's bit for bit, and so
     do the errors: those of :func:`_loss_forward`, and ``NonFiniteError`` for
     a non-finite gradient.
     """
-    value, inputs, pre, a, out = _loss_forward(y, z, decoder, kind)
-    if not (wrt_z or wrt_theta):
-        return value.item(), []
+    forward = _loss_forward(y, z, decoder, kind)
+    grads = (_loss_backward(y, forward, decoder, wrt_z, wrt_theta)
+             if wrt_z or wrt_theta else [])
+    return forward[0].item(), grads
+
+
+def _loss_backward(y: np.ndarray, forward, decoder: DecoderParams,
+                   wrt_z: bool, wrt_theta: bool) -> list[np.ndarray]:
+    """The gradients :func:`reconstruction_grads` returns, from a kept
+    :func:`_loss_forward` result at the same ``decoder`` parameters: w.r.t.
+    z (if ``wrt_z``), then one per tensor (if ``wrt_theta``).  Raises
+    ``NonFiniteError`` for a non-finite gradient."""
+    _, inputs, pre, a, out = forward
     g = _logit_grad(y, a, out)
     last = decoder.n_layers - 1
     theta_grads = []
@@ -310,7 +321,7 @@ def reconstruction_grads(y: np.ndarray, z, decoder: DecoderParams,
     grads = ([g] if wrt_z else []) + theta_grads[::-1]
     for gr in grads:
         dc._check_finite(gr, "gradient")
-    return value.item(), grads
+    return grads
 
 
 class LinearizedLoss:

@@ -19,7 +19,8 @@ differences (see tests).
 Model-call accounting: one unit per decoder evaluation (forward build, with
 or without its first-order gradient); a second-order sweep (hvp or
 mixed-vjp) adds two units since it re-traverses a graph roughly twice the
-decoder's size.  The flow itself counts 4 units per RK4 slice.  The units
+decoder's size.  The flow itself counts 4 units per RK4 slice, and 1 +
+trials for AMD, whose accepted trials serve the next gradient.  The units
 stay the same when the full adjoint runs on closed-form kernels; there the
 mixed term at each grid point is weighted by its trapezoid weight and the
 integral is contracted once per layer, with one GEMM per weight matrix.

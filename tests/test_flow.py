@@ -213,7 +213,7 @@ class TestAMD:
                           early_stop_tol=0.0))
         assert trace.dts == [0.75 ** 6, 1.1 * 0.75 ** 6, 0.5 - trace.ts[2]]
         assert state.t == 0.5
-        assert state.model_calls == 12  # 3 gradients; 5 + 3 + 1 trials
+        assert state.model_calls == 10  # 1 initial gradient + 5 + 3 + 1 trials
 
     def test_early_stop_on_relative_improvement(self):
         # Near-flat quadratic around the start: tiny relative improvements.
@@ -247,6 +247,59 @@ class TestAMD:
             tau=20.0, solver=fl.SolverKind.AMD,
             alpha_schedule=fl.AlphaSchedule.EXP_DECAY), LossKind.L2)
         np.testing.assert_array_equal(s1.z, s2.z)
+
+
+class TestAMDForwardReuse:
+    """Each AMD trial is one forward pass, and an accepted trial's forward
+    pass serves the gradient the flow continues with."""
+
+    CFG = fl.FlowConfig(tau=100.0, solver=fl.SolverKind.AMD,
+                        early_stop_tol=1e-4)
+
+    def _cli_decoder_and_image(self):
+        from flowenc import models as md
+        dec = md.init_decoder([16, 32, 64, 128, 784],
+                              np.random.default_rng(70))
+        return dec, dd.synth_digits(4, seed=71).images[0]
+
+    def test_one_forward_per_unit_and_backward_per_continued_step(
+            self, monkeypatch):
+        from flowenc import models as md
+        dec, y = self._cli_decoder_and_image()
+        forwards, backwards = [], []
+        real_forward, real_backward = md._loss_forward, md._loss_backward
+
+        def counted_forward(y, z, decoder, kind):
+            forwards.append(np.asarray(z, dtype=np.float64).tobytes())
+            return real_forward(y, z, decoder, kind)
+
+        def counted_backward(y, forward, decoder, wrt_z, wrt_theta):
+            backwards.append(forward[1][0].tobytes())  # the layer-0 input, z
+            return real_backward(y, forward, decoder, wrt_z, wrt_theta)
+
+        monkeypatch.setattr(md, "_loss_forward", counted_forward)
+        monkeypatch.setattr(md, "_loss_backward", counted_backward)
+        state, trace = fl.encode_sample(y, dec, self.CFG)
+        assert trace.n_slices > 5 and not state.stalled
+        assert len(forwards) == state.model_calls
+        assert len(set(forwards)) == len(forwards)
+        # The start, then every accepted step except the last, which ended
+        # the flow: no rejected trial and no final point is differentiated.
+        assert backwards == [z.tobytes() for z in trace.zs[:-1]]
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_kernel_and_tape_flows_bit_equal(self, kind):
+        dec, y = self._cli_decoder_and_image()
+        obj = fl.reconstruction_objective(y, dec, kind)
+        z0 = np.zeros(dec.latent_dim)
+        ks, kt = fl.integrate_amd(obj, z0, self.CFG)
+        ts, tt = fl.integrate_amd(lambda z: obj(z), z0, self.CFG)
+        assert kt.n_slices > 5 and len(kt.zs) == len(tt.zs)
+        np.testing.assert_array_equal(ks.z, ts.z)
+        for a, b in zip(kt.zs + kt.grads, tt.zs + tt.grads, strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert ks.loss_history == ts.loss_history
+        assert ks.model_calls == ts.model_calls
 
 
 class TestConvergenceAcrossSolvers:
