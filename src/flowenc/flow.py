@@ -47,8 +47,7 @@ from . import diffcore as dc
 from . import models
 from .diffcore import Tensor
 from .models import (DecoderParams, LinearizedLoss, LossKind,
-                     reconstruction_grads, reconstruction_loss,
-                     reconstruction_target)
+                     reconstruction_loss, reconstruction_target)
 
 
 class SolverKind(Enum):
@@ -213,7 +212,7 @@ def loss_at(objective: Objective, x: np.ndarray, error: ErrorFactory
 
         def grad() -> np.ndarray:
             with _nonfinite_as(error, taped=False):
-                return objective.backward(forward)
+                return objective.backward(forward, True, False)[0]
         return forward[0].item(), grad
     value = forward_value(objective, x, error).item()
     return value, lambda: value_and_grad(objective, x, (), error)[1][0]
@@ -233,7 +232,9 @@ def value_and_grad(objective: Objective, x: np.ndarray,
     objective's kernel where it has one for ``params``, else the tape."""
     if _has_kernel(objective, params):
         with _nonfinite_as(error, taped=False):
-            return objective.kernel(x, wrt_x, bool(params))
+            forward = objective.forward(x)
+            return (forward[0].item(),
+                    objective.backward(forward, wrt_x, bool(params)))
     with _nonfinite_as(error):
         xt = Tensor(x, requires_grad=wrt_x)
         loss = objective(xt)
@@ -267,10 +268,10 @@ class ReconstructionObjective:
     """z -> l(y, D(z)) under the decoder's current parameters.
 
     Called on a Tensor it builds the taped loss, for the second-order
-    helpers; :meth:`kernel` is the closed-form first-order path that
-    :func:`value_and_grad` takes instead of the tape, :meth:`forward` and
-    :meth:`backward` the same path in two halves for :func:`loss_at`, and
-    :meth:`linearize` the second-order one the full adjoint takes.
+    helpers; :meth:`forward` and :meth:`backward` are the closed-form
+    first-order path that :func:`loss_at` and :func:`value_and_grad` take
+    instead of the tape, and :meth:`linearize` the second-order one the full
+    adjoint takes.
     The target is validated once, here.
     """
 
@@ -282,19 +283,16 @@ class ReconstructionObjective:
     def __call__(self, z: Tensor) -> Tensor:
         return reconstruction_loss(self.y, z, self.decoder, self.kind)
 
-    def kernel(self, z: np.ndarray, wrt_z: bool, wrt_theta: bool
-               ) -> tuple[float, list[np.ndarray]]:
-        return reconstruction_grads(self.y, z, self.decoder, self.kind,
-                                    wrt_z, wrt_theta)
-
     def forward(self, z: np.ndarray):
         """The kernel's forward pass at z, kept for :meth:`backward`."""
         return models._loss_forward(self.y, z, self.decoder, self.kind)
 
-    def backward(self, forward) -> np.ndarray:
-        """The gradient w.r.t. z from a kept :meth:`forward`."""
-        return models._loss_backward(self.y, forward, self.decoder,
-                                     True, False)[0]
+    def backward(self, forward, wrt_z: bool, wrt_theta: bool
+                 ) -> list[np.ndarray]:
+        """The gradients w.r.t. z and then the decoder's tensors, as asked,
+        from a kept :meth:`forward`."""
+        return models._loss_backward(self.y, forward, self.decoder, wrt_z,
+                                     wrt_theta)
 
     def linearize(self, z: np.ndarray) -> LinearizedLoss:
         return LinearizedLoss(self.y, z, self.decoder, self.kind)

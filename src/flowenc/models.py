@@ -280,32 +280,19 @@ def _logit_grad(y: np.ndarray, a: np.ndarray, out) -> np.ndarray:
     return g
 
 
-def reconstruction_grads(y: np.ndarray, z, decoder: DecoderParams,
-                         kind: LossKind, wrt_z: bool, wrt_theta: bool
-                         ) -> tuple[float, list[np.ndarray]]:
-    """reconstruction_loss(y, z) and its first-order gradients, in closed form.
-
-    Returns the value and, from the same forward pass, the gradient w.r.t. z
-    (if ``wrt_z``) followed by one gradient per tensor of
-    ``decoder.tensors()`` (if ``wrt_theta``): :func:`_loss_forward`, then
-    :func:`_loss_backward` from its result.  ``y`` comes from
-    :func:`reconstruction_target`.  The numpy operations and their order are
-    the tape's, so values and gradients equal diffcore's bit for bit, and so
-    do the errors: those of :func:`_loss_forward`, and ``NonFiniteError`` for
-    a non-finite gradient.
-    """
-    forward = _loss_forward(y, z, decoder, kind)
-    grads = (_loss_backward(y, forward, decoder, wrt_z, wrt_theta)
-             if wrt_z or wrt_theta else [])
-    return forward[0].item(), grads
-
-
 def _loss_backward(y: np.ndarray, forward, decoder: DecoderParams,
                    wrt_z: bool, wrt_theta: bool) -> list[np.ndarray]:
-    """The gradients :func:`reconstruction_grads` returns, from a kept
-    :func:`_loss_forward` result at the same ``decoder`` parameters: w.r.t.
-    z (if ``wrt_z``), then one per tensor (if ``wrt_theta``).  Raises
-    ``NonFiniteError`` for a non-finite gradient."""
+    """The first-order gradients of reconstruction_loss(y, z), in closed form.
+
+    Runs from ``forward``, :func:`_loss_forward`'s result at z under the same
+    ``decoder`` parameters, so a caller can keep a forward pass and ask for
+    its gradients later.  Returns the gradient w.r.t. z (if ``wrt_z``)
+    followed by one gradient per tensor of ``decoder.tensors()`` (if
+    ``wrt_theta``).  ``y`` comes from :func:`reconstruction_target`.  The
+    numpy operations and their order are the tape's, so the forward pass's
+    value and these gradients equal diffcore's bit for bit, and so do the
+    errors: ``NonFiniteError`` for a non-finite gradient.
+    """
     _, inputs, pre, a, out = forward
     g = _logit_grad(y, a, out)
     last = decoder.n_layers - 1
