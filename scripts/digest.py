@@ -201,7 +201,8 @@ def cases(fe):
         state, trace = fl.encode_sample(y, trained, cfg, l2)
         return (state, trace,
                 counted(tr.grad_theta_approximate(y, state.z, trained, l2)),
-                counted(tr.grad_theta_full_adjoint(y, trace, trained, cfg, l2)))
+                counted(tr.grad_theta_full_adjoint(y, trace, trained, cfg,
+                                                   l2)))
 
     out.append(("l2/sigmoid/amd-approx-full", l2_sigmoid_amd))
 

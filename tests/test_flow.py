@@ -445,19 +445,21 @@ class TestTapeBoundary:
         with pytest.raises(fl.FlowDivergedError):
             fl.loss_value(obj, z0, lambda msg: fl.FlowDivergedError(0.0, 0.0))
 
-
     def test_loss_at_raises_a_gradient_error_only_when_asked(self):
         # At z = 0 with zero biases every pre-activation is 0, so the forward
         # pass is finite, but W_0^T (W_1^T g) overflows.
         from flowenc import models as md
         dec = md.init_decoder([4, 8, 16], np.random.default_rng(64))
-        dec.replace_tensors([Tensor(np.full(t.shape, 1e200), requires_grad=True)
+        dec.replace_tensors([Tensor(np.full(t.shape, 1e200),
+                                    requires_grad=True)
                              if t.data.ndim == 2 else t
                              for t in dec.tensors()])
         obj = fl.reconstruction_objective(np.zeros(16), dec)
+        def error(msg):
+            return fl.FlowDivergedError(1.5, 0.0)
+
         for objective in (obj, lambda z: obj(z)):
-            value, grad = fl.loss_at(objective, np.zeros(4),
-                                     lambda msg: fl.FlowDivergedError(1.5, 0.0))
+            value, grad = fl.loss_at(objective, np.zeros(4), error)
             assert value == fl.loss_value(obj, np.zeros(4), RuntimeError)
             with pytest.raises(fl.FlowDivergedError):
                 grad()
